@@ -8,6 +8,7 @@ performance profiles (fraction solved vs ratio to the best solver).
 
 import csv
 import json
+import logging
 import math
 import time
 from dataclasses import dataclass, field
@@ -19,6 +20,8 @@ from .problems import make_problem
 from .records import RunRecord
 from .seeding import derive_seed
 from .solvers import SOLVERS, SolverConfig
+
+logger = logging.getLogger(__name__)
 
 RECORDS_FILE = "records.jsonl"
 SUMMARY_FILE = "summary.csv"
@@ -70,6 +73,18 @@ def evals_to_accuracy(record: RunRecord, f0: float, f_min: float, tau: float):
     return math.inf
 
 
+def _step_curve(xs, total: int) -> ProfileCurve:
+    """Fraction of ``total`` instances whose value in ``xs`` is at most x."""
+    abscissae, fractions = [], []
+    for solved, x in enumerate(sorted(xs), start=1):
+        if abscissae and abscissae[-1] == x:
+            fractions[-1] = solved / total
+        else:
+            abscissae.append(x)
+            fractions.append(solved / total)
+    return ProfileCurve(tuple(abscissae), tuple(fractions))
+
+
 def data_profile(items: Sequence[Tuple[int, float]], budgets: Optional[Sequence[float]] = None) -> ProfileCurve:
     """Fraction of instances solved within beta (n+1) evaluations.
 
@@ -80,18 +95,7 @@ def data_profile(items: Sequence[Tuple[int, float]], budgets: Optional[Sequence[
     """
     if not items:
         raise ContractViolationError("empty result set")
-    total = len(items)
-    betas = sorted(e / (n + 1) for n, e in items if math.isfinite(e))
-    abscissae, fractions = [], []
-    solved = 0
-    for b in betas:
-        solved += 1
-        if abscissae and abscissae[-1] == b:
-            fractions[-1] = solved / total
-        else:
-            abscissae.append(b)
-            fractions.append(solved / total)
-    curve = ProfileCurve(tuple(abscissae), tuple(fractions))
+    curve = _step_curve([e / (n + 1) for n, e in items if math.isfinite(e)], len(items))
     return curve if budgets is None else curve.resample(budgets)
 
 
@@ -116,22 +120,9 @@ def performance_profile(
     for solver, items in results_by_solver.items():
         if not items:
             raise ContractViolationError(f"solver {solver!r} has no results")
-        total = len(items)
-        ratios = sorted(
-            e / best[key]
-            for key, e in items
-            if math.isfinite(e) and key in best
+        curves[solver] = _step_curve(
+            [e / best[key] for key, e in items if math.isfinite(e) and key in best], len(items)
         )
-        abscissae, fractions = [], []
-        solved = 0
-        for r in ratios:
-            solved += 1
-            if abscissae and abscissae[-1] == r:
-                fractions[-1] = solved / total
-            else:
-                abscissae.append(r)
-                fractions.append(solved / total)
-        curves[solver] = ProfileCurve(tuple(abscissae), tuple(fractions))
     return curves
 
 
@@ -164,7 +155,8 @@ def run_campaign(
     Each run's budget is budget_multiplier * (n + 1) evaluations; its RNG
     seed is derived from the master seed and the triple, so the persisted
     store is a pure function of the inputs. Individual run failures are
-    recorded with termination='error' and the campaign continues.
+    recorded with termination='error', their exception logged as a warning,
+    and the campaign continues.
     """
     if not problems or not solvers:
         raise ContractViolationError("need at least one problem and one solver")
@@ -185,7 +177,11 @@ def run_campaign(
                     config = SolverConfig.from_dict(overrides)
                     rec = SOLVERS[spec.algorithm](problem, config)
                     rec.solver = spec.name
-                except Exception:  # isolate run failures
+                except Exception as err:  # isolate run failures
+                    logger.warning(
+                        "run %s n=%d solver %s seed %d failed: %s: %s",
+                        pname, n, spec.name, seed, type(err).__name__, err,
+                    )
                     rec = RunRecord(
                         problem=pname,
                         n=n,

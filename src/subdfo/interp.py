@@ -8,7 +8,6 @@ polynomials for geometry management and empirical certificates for the
 model-error scaling laws.
 """
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -155,34 +154,6 @@ class SubspaceModel:
             raise ContractViolationError("model has no full-space anchoring")
         return self.base + self.map @ np.asarray(s_hat, dtype=float)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "base": None if self.base is None else self.base.tolist(),
-                "map": None if self.map is None else self.map.tolist(),
-                "constant": self.constant,
-                "gradient": self.gradient.tolist(),
-                "hessian": self.hessian.tolist(),
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SubspaceModel":
-        d = json.loads(text)
-        return cls(
-            None if d["base"] is None else np.array(d["base"]),
-            None if d["map"] is None else np.array(d["map"]),
-            d["constant"],
-            np.array(d["gradient"]),
-            np.array(d["hessian"]),
-        )
-
-
-def evaluate_model(model: SubspaceModel, s_hat) -> float:
-    """Model value c + g^T s + 0.5 s^T H s."""
-    return model.value(s_hat)
-
 
 def project_secondary(iset: InterpolationSet, basis: Basis):
     """Subspace coordinates Q^T (y - base) and cached values of secondary points."""
@@ -190,16 +161,6 @@ def project_secondary(iset: InterpolationSet, basis: Basis):
         return []
     coords = (np.array(iset.secondary) - iset.base) @ basis.columns
     return list(zip(coords, iset.secondary_values))
-
-
-def secondary_projection_residuals(iset: InterpolationSet, basis: Basis):
-    """Out-of-subspace residual norms ||(I - QQ^T)(y - base)|| for diagnostics."""
-    q = basis.columns
-    out = []
-    for y in iset.secondary:
-        d = y - iset.base
-        out.append(float(np.linalg.norm(d - q @ (q.T @ d))))
-    return out
 
 
 def _dedup_coords(coords, tol: float):
@@ -221,6 +182,7 @@ def build_mfn_model(
     prev: Optional[SubspaceModel] = None,
     dedup_tol: Optional[float] = None,
     max_residual: Optional[float] = None,
+    use_secondary: bool = True,
 ) -> SubspaceModel:
     """Minimum-Frobenius-norm quadratic interpolation over the current sets.
 
@@ -235,12 +197,19 @@ def build_mfn_model(
     residual exceeds it are excluded for this build: their values are
     inconsistent with any quadratic on the subspace by O(residual), which
     destroys the model once the trust region is smaller than that.
+
+    ``use_secondary=False`` interpolates the primary points alone, base point
+    first; ``run_rsdfoq`` falls back to it when the secondary points make the
+    system degenerate.
     """
     q_mat = basis.columns
     r = basis.rank
-    coords = (np.array(iset.primary) - iset.base) @ q_mat
-    values = list(iset.primary_values)
-    if iset.secondary:
+    order = list(range(len(iset.primary)))
+    if not use_secondary:
+        order.insert(0, order.pop(iset.base_index))
+    coords = (np.array([iset.primary[i] for i in order]) - iset.base) @ q_mat
+    values = [iset.primary_values[i] for i in order]
+    if use_secondary and iset.secondary:
         diffs = np.array(iset.secondary) - iset.base
         sec = diffs @ q_mat
         if max_residual is not None:

@@ -45,18 +45,6 @@ class Problem:
         with self._lock:
             self._evals = 0
 
-    def fresh(self) -> "Problem":
-        """Copy with a zeroed evaluation counter (for independent runs)."""
-        return Problem(
-            self.name,
-            self.dim,
-            self.raw_objective,
-            self.gradient_oracle,
-            self.hessian_oracle,
-            self.x0.copy(),
-            self.f_min,
-        )
-
 
 @dataclass(frozen=True)
 class CriticalityReport:

@@ -42,8 +42,6 @@ logger = logging.getLogger(__name__)
 # floor is disabled (rho_end = 0); prevents spinning on denormal radii.
 RADIUS_EPS = 1e-300
 
-CLASSIFICATIONS = ("successful", "unsuccessful", "safety", "rho_reduced")
-
 
 @dataclass
 class SolverConfig:
@@ -134,11 +132,10 @@ class SolverConfig:
 
 @dataclass
 class TrustRegionState:
-    """Radii, iterate and the rho history ring used to gate rho reductions."""
+    """Radii and the rho history ring used to gate rho reductions."""
 
     delta: float
     rho: float
-    iterate: np.ndarray
     rho_history: list  # (rho_j, min(||s_j||, delta_j)) pairs, one per iteration
 
     def can_reduce_rho(self, patience: int) -> bool:
@@ -222,36 +219,23 @@ def pdrop_heuristic(r_k: Optional[float], p: int, full_space: bool) -> int:
     return min(max(pd, lo), p)
 
 
-def _primary_index_of(iset: InterpolationSet, point) -> int:
-    for i, y in enumerate(iset.primary):
-        if y is point:
-            return i
-    point = np.asarray(point, dtype=float)
-    for i, y in enumerate(iset.primary):
-        if y.shape == point.shape and np.array_equal(y, point):
-            return i
-    raise ContractViolationError("anchor point is not a member of the primary set")
-
-
 def remove_single_point(
     iset: InterpolationSet,
     basis: Basis,
     tentative_step,
     delta: float,
-    x_k,
 ) -> np.ndarray:
     """Demote the primary point scoring highest on the geometry criterion.
 
-    Score: |Lagrange value at x_k + step| times max(dist^4 / delta^4, 1). If
+    Score: |Lagrange value at base + step| times max(dist^4 / delta^4, 1),
+    with distances measured from the base point, which is never demoted. If
     the Lagrange basis is degenerate, falls back to the distance factor
     alone. Ties go to the farthest point, then the lowest index. Returns the
     demoted point.
     """
     if len(iset.primary) < 2:
         raise ContractViolationError("need at least two primary points")
-    anchor_idx = _primary_index_of(iset, x_k)
-    anchor = iset.primary[anchor_idx]
-    diffs = np.array(iset.primary) - anchor
+    diffs = np.array(iset.primary) - iset.base
     coords = diffs @ basis.columns
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     weights = np.maximum(dists**4 / delta**4, 1.0)
@@ -264,7 +248,7 @@ def remove_single_point(
         logger.debug("degenerate Lagrange set; falling back to distance-only removal")
         scores = dists**4 / delta**4
 
-    candidates = [t for t in range(len(iset.primary)) if t != anchor_idx and t != iset.base_index]
+    candidates = [t for t in range(len(iset.primary)) if t != iset.base_index]
     if not candidates:
         raise ContractViolationError("no removable primary points")
     smax = max(scores[t] for t in candidates)
@@ -284,47 +268,41 @@ def remove_multiple_points(
     basis: Basis,
     count: int,
     delta: float,
-    x_next,
 ) -> list:
     """Demote ``count`` primary points, re-scoring after each removal.
 
-    Uses the single-point criterion with a zero tentative step evaluated at
-    the (possibly updated) iterate ``x_next``.
+    Uses the single-point criterion with a zero tentative step, evaluated at
+    the current base point.
     """
     if count >= len(iset.primary):
         raise ContractViolationError("cannot remove that many primary points")
     zero_step = np.zeros(basis.dim)
     removed = []
     for _ in range(count):
-        removed.append(remove_single_point(iset, basis, zero_step, delta, x_next))
+        removed.append(remove_single_point(iset, basis, zero_step, delta))
     return removed
 
 
 def add_orthogonal_points(
     iset: InterpolationSet,
-    x_next,
     delta_next: float,
     count: int,
     rng: np.random.Generator,
     objective: Callable,
 ) -> list:
-    """Add ``count`` fresh primary points along new orthonormal directions.
+    """Add ``count`` fresh primary points at distance ``delta_next`` from the base.
 
     Directions are mutually orthonormal and orthogonal to the span of the
-    existing primary offsets from ``x_next``; each new point is evaluated and
-    cached. Points whose value comes back non-finite are not added.
+    existing primary offsets from the base point; each new point is
+    evaluated and cached. Points whose value comes back non-finite are not
+    added.
     """
     if count < 0:
         raise ContractViolationError("count must be nonnegative")
     if count == 0:
         return []
-    x_next = np.asarray(x_next, dtype=float)
-    n = x_next.shape[0]
-    anchor_idx = _primary_index_of(iset, x_next)
-    existing = [
-        y - x_next for i, y in enumerate(iset.primary) if i != anchor_idx
-    ]
-    existing = [d for d in existing if np.linalg.norm(d) > 0.0]
+    n = iset.base.shape[0]
+    existing = [d for d in iset.primary_directions() if np.linalg.norm(d) > 0.0]
     span = orthonormal_basis(existing).columns if existing else np.zeros((n, 0))
     if span.shape[1] + count > n:
         raise ContractViolationError(
@@ -349,23 +327,12 @@ def add_orthogonal_points(
 
     added = []
     for j in range(count):
-        point = x_next + delta_next * frame[:, j]
+        point = iset.base + delta_next * frame[:, j]
         val = objective(point)
         if math.isfinite(val):
             iset.add_primary(point, val)
             added.append(point)
     return added
-
-
-def linear_stencil_model(objective, x, fx: float, p_map, delta: float) -> SubspaceModel:
-    """Linear interpolation model on the stencil {0, delta e_i} in the subspace."""
-    p_map = np.atleast_2d(np.asarray(p_map, dtype=float))
-    p = p_map.shape[1]
-    vals = np.empty(p)
-    for i in range(p):
-        vals[i] = objective(x + delta * p_map[:, i])
-    grad = (vals - fx) / delta
-    return SubspaceModel(x, p_map, fx, grad, np.zeros((p, p)))
 
 
 def _finalize(problem, config, solver: str, obj: _TracedObjective, t0: float, termination: str) -> RunRecord:
@@ -522,7 +489,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
         return _finalize(problem, config, "rsdfoq", obj, t0, "error")
 
     delta0 = config.resolved_delta0(x0)
-    state = TrustRegionState(delta0, delta0, x0, [])
+    state = TrustRegionState(delta0, delta0, [])
     iset = InterpolationSet(x0, f0, p, q)
     termination = "budget"
     prev_model = None
@@ -530,7 +497,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
     try:
         # Initial primary set: p random orthonormal directions at radius delta0.
         rng0 = derive_rng(config.seed, "init")
-        add_orthogonal_points(iset, x0, delta0, p, rng0, obj)
+        add_orthogonal_points(iset, delta0, p, rng0, obj)
         iset.recenter_to_best()
 
         k = 0
@@ -539,7 +506,6 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
             if state.rho < RADIUS_EPS:
                 termination = "rho_floor"
                 break
-            state.iterate = iset.base
             if iterate_hook is not None:
                 iterate_hook(k, iset.base)
 
@@ -555,12 +521,8 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
             except ModelConstructionError:
                 # Secondary points can make a near-degenerate system; retry
                 # on the primary set alone before giving up.
-                trimmed = InterpolationSet(iset.base, iset.base_value, p, q)
-                for i, (y, v) in enumerate(zip(iset.primary, iset.primary_values)):
-                    if i != iset.base_index:
-                        trimmed.add_primary(y, v)
                 model = build_mfn_model(
-                    trimmed, basis, prev_model, dedup_tol=1e-10 * state.delta
+                    iset, basis, prev_model, dedup_tol=1e-10 * state.delta, use_secondary=False
                 )
             prev_model = model
             sigma_m, _ = model_criticality(model)
@@ -578,13 +540,11 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                 ratio = -1.0
                 cls = "safety"
                 delta_next = max(config.gamma_dec * state.delta, state.rho)
-                x_next = iset.base
                 if (not can_reduce) or state.delta > state.rho:
-                    remove_single_point(
-                        iset, basis, np.zeros(n), state.delta, iset.base
-                    )
+                    remove_single_point(iset, basis, np.zeros(n), state.delta)
             else:
-                trial = iset.base + basis.lift(result.step)
+                step = basis.lift(result.step)
+                trial = iset.base + step
                 f_trial = obj(trial)
                 ratio = decrease_ratio(iset.base_value, f_trial, result.predicted_decrease)
                 if ratio < config.eta1:
@@ -598,24 +558,20 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                     )
                 accepted = ratio > 0.0
                 cls = "successful" if accepted else "unsuccessful"
+                if p == n:
+                    # Full space: one point, scored at the tentative step,
+                    # is demoted before the trial point joins.
+                    remove_single_point(iset, basis, step, state.delta)
+                if math.isfinite(f_trial) and not iset.contains_primary(trial, 1e-14):
+                    iset.add_primary(trial, f_trial)
+                    if accepted:
+                        iset.set_base(len(iset.primary) - 1)
+                # Non-finite probes may have left fewer points than the
+                # heuristic asks to demote; the base always stays.
                 n_drop = pdrop_heuristic(ratio, p, full_space=(p == n))
-                if p < n:
-                    if math.isfinite(f_trial) and not iset.contains_primary(trial, 1e-14):
-                        iset.add_primary(trial, f_trial)
-                        if accepted:
-                            iset.set_base(len(iset.primary) - 1)
-                    x_next = iset.base
-                    remove_multiple_points(iset, basis, n_drop, state.delta, x_next)
-                else:
-                    remove_single_point(
-                        iset, basis, basis.lift(result.step), state.delta, iset.base
-                    )
-                    if math.isfinite(f_trial) and not iset.contains_primary(trial, 1e-14):
-                        iset.add_primary(trial, f_trial)
-                        if accepted:
-                            iset.set_base(len(iset.primary) - 1)
-                    x_next = iset.base
-                    remove_multiple_points(iset, basis, n_drop, state.delta, x_next)
+                remove_multiple_points(
+                    iset, basis, min(n_drop, len(iset.primary) - 1), state.delta
+                )
 
             rho_next = state.rho
             if ratio is not None and ratio < 0.0 and state.delta <= state.rho and can_reduce:
@@ -626,12 +582,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
             n_add = p + 1 - len(iset.primary)
             if n_add > 0:
                 add_orthogonal_points(
-                    iset,
-                    iset.base,
-                    delta_next,
-                    n_add,
-                    derive_rng(config.seed, "add", k),
-                    obj,
+                    iset, delta_next, n_add, derive_rng(config.seed, "add", k), obj
                 )
             iset.recenter_to_best()
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .exceptions import ContractViolationError
 from .interp import SubspaceModel
-from .numerics import lex_positive, min_eigenpair
+from .numerics import lex_positive
 
 # Dimension threshold below which the exact eigendecomposition solver is used.
 EXACT_TRS_MAX_DIM = 50
@@ -48,11 +48,38 @@ def _flags(dec: float, delta: float, gnorm: float, hnorm: float, tau: float):
     return first, second
 
 
-def _certify(model: SubspaceModel, delta: float, dec: float):
-    gnorm = float(np.linalg.norm(model.gradient))
-    hnorm = float(np.linalg.norm(model.hessian, 2)) if model.dim else 0.0
-    lam, _ = min_eigenpair(model.hessian)
-    return _flags(dec, delta, gnorm, hnorm, max(-lam, 0.0))
+def _spectrum(model: SubspaceModel, delta: float):
+    """Eigendecomposition of H plus the gradient norm, |H|_2 and tau of the certificates."""
+    if delta <= 0.0:
+        raise ContractViolationError("delta must be positive")
+    w, v = np.linalg.eigh(model.hessian)
+    gnorm = math.sqrt(float(model.gradient @ model.gradient))
+    hnorm = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
+    tau = max(-float(w[0]), 0.0) if w.size else 0.0
+    return w, v, gnorm, hnorm, tau
+
+
+def _cauchy(model: SubspaceModel, delta: float, gnorm: float) -> np.ndarray:
+    """Minimizer along the negative (nonzero) gradient within the ball."""
+    g = model.gradient
+    curv = float(g @ (model.hessian @ g))
+    t_max = delta / gnorm
+    t = t_max if curv <= 0.0 else min(gnorm**2 / curv, t_max)
+    return -t * g
+
+
+def _eigen(model: SubspaceModel, delta: float, v: np.ndarray, gnorm: float) -> np.ndarray:
+    """Boundary step along the bottom eigenvector ``v[:, 0]``, signed downhill."""
+    u = lex_positive(v[:, 0])
+    inner = float(model.gradient @ u)
+    if abs(inner) > 1e-12 * max(1.0, gnorm):
+        u = -u if inner > 0 else u
+    return delta * u
+
+
+def _result(model: SubspaceModel, delta: float, step, kind: str, gnorm, hnorm, tau) -> TrsResult:
+    dec = _decrease(model, step)
+    return TrsResult(step, dec, kind, *_flags(dec, delta, gnorm, hnorm, tau))
 
 
 def cauchy_step(model: SubspaceModel, delta: float) -> TrsResult:
@@ -61,22 +88,10 @@ def cauchy_step(model: SubspaceModel, delta: float) -> TrsResult:
     A zero gradient yields a zero step with both certificates False; callers
     needing progress at such points must use eigen_step.
     """
-    if delta <= 0.0:
-        raise ContractViolationError("delta must be positive")
-    g = model.gradient
-    gnorm = float(np.linalg.norm(g))
+    _w, _v, gnorm, hnorm, tau = _spectrum(model, delta)
     if gnorm == 0.0:
         return TrsResult(np.zeros(model.dim), 0.0, "cauchy", False, False)
-    curv = float(g @ (model.hessian @ g))
-    t_max = delta / gnorm
-    if curv <= 0.0:
-        t = t_max
-    else:
-        t = min(gnorm**2 / curv, t_max)
-    step = -t * g
-    dec = _decrease(model, step)
-    first, second = _certify(model, delta, dec)
-    return TrsResult(step, dec, "cauchy", first, second)
+    return _result(model, delta, _cauchy(model, delta, gnorm), "cauchy", gnorm, hnorm, tau)
 
 
 def eigen_step(model: SubspaceModel, delta: float) -> TrsResult:
@@ -86,19 +101,10 @@ def eigen_step(model: SubspaceModel, delta: float) -> TrsResult:
     exact ties go to the lexicographically positive eigenvector. When the
     model Hessian has no negative curvature the step is zero and flagged.
     """
-    if delta <= 0.0:
-        raise ContractViolationError("delta must be positive")
-    lam, v = min_eigenpair(model.hessian)
-    tau = max(-lam, 0.0)
+    _w, v, gnorm, hnorm, tau = _spectrum(model, delta)
     if tau == 0.0:
         return TrsResult(np.zeros(model.dim), 0.0, "eigen", False, False)
-    inner = float(model.gradient @ v)
-    if abs(inner) > 1e-12 * max(1.0, float(np.linalg.norm(model.gradient))):
-        v = -v if inner > 0 else v
-    step = delta * v
-    dec = _decrease(model, step)
-    first, second = _certify(model, delta, dec)
-    return TrsResult(step, dec, "eigen", first, second)
+    return _result(model, delta, _eigen(model, delta, v, gnorm), "eigen", gnorm, hnorm, tau)
 
 
 def _secular_root(c: np.ndarray, w: np.ndarray, lam_lo: float, delta: float) -> float:
@@ -181,12 +187,6 @@ def _exact_trs_eig(g: np.ndarray, w: np.ndarray, v: np.ndarray, delta: float) ->
     return v @ s
 
 
-def _exact_trs(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
-    """Global ball minimizer of g^T s + 0.5 s^T H s via eigendecomposition."""
-    w, v = np.linalg.eigh(0.5 * (h + h.T))
-    return _exact_trs_eig(g, w, v, delta)
-
-
 def _steihaug_cg(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
     """Truncated CG for larger dimensions; exits on the boundary or curvature."""
     p = g.size
@@ -234,48 +234,28 @@ def solve_trs(model: SubspaceModel, delta: float, mode: str = "first_order") -> 
     """
     if mode not in ("first_order", "second_order"):
         raise ContractViolationError(f"unknown TRS mode {mode!r}")
-    if delta <= 0.0:
-        raise ContractViolationError("delta must be positive")
-
-    g = model.gradient
-    h = model.hessian
-    w, v = np.linalg.eigh(h)
-    gnorm = math.sqrt(float(g @ g))
-    hnorm = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
-    tau = max(-float(w[0]), 0.0) if w.size else 0.0
+    w, v, gnorm, hnorm, tau = _spectrum(model, delta)
 
     candidates = []
     if gnorm > 0.0:
-        curv = float(g @ (h @ g))
-        t_max = delta / gnorm
-        t = t_max if curv <= 0.0 else min(gnorm**2 / curv, t_max)
-        step = -t * g
-        candidates.append((step, _decrease(model, step), "cauchy"))
+        candidates.append((_cauchy(model, delta, gnorm), "cauchy"))
     if mode == "second_order" and tau > 0.0:
-        u = lex_positive(v[:, 0])
-        inner = float(g @ u)
-        if abs(inner) > 1e-12 * max(1.0, gnorm):
-            u = -u if inner > 0 else u
-        step = delta * u
-        candidates.append((step, _decrease(model, step), "eigen"))
-
+        candidates.append((_eigen(model, delta, v, gnorm), "eigen"))
     if candidates:
         if model.dim <= EXACT_TRS_MAX_DIM:
-            refined = _exact_trs_eig(g, w, v, delta)
+            refined = _exact_trs_eig(model.gradient, w, v, delta)
         else:
-            refined = _steihaug_cg(g, h, delta)
+            refined = _steihaug_cg(model.gradient, model.hessian, delta)
         nrm = math.sqrt(float(refined @ refined))
         if nrm > delta:  # roundoff only; never violate the ball
             refined = refined * (delta / nrm)
-        candidates.append((refined, _decrease(model, refined), "refined"))
+        candidates.append((refined, "refined"))
 
-    if not candidates:
+    results = [_result(model, delta, step, kind, gnorm, hnorm, tau) for step, kind in candidates]
+    best = max(results, key=lambda r: r.predicted_decrease, default=None)
+    if best is None or best.predicted_decrease <= 0.0:
         return TrsResult(np.zeros(model.dim), 0.0, "cauchy", False, False)
-    step, dec, kind = max(candidates, key=lambda cand: cand[1])
-    if dec <= 0.0:
-        return TrsResult(np.zeros(model.dim), 0.0, "cauchy", False, False)
-    first, second = _flags(dec, delta, gnorm, hnorm, tau)
-    return TrsResult(step, dec, kind, first, second)
+    return best
 
 
 def decrease_ratio(f_current: float, f_trial: float, predicted_decrease: float) -> float:

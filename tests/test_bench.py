@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from pathlib import Path
 
@@ -140,9 +141,10 @@ class TestCampaign:
         for name in ("records.jsonl", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_run_failure_recorded(self, tmp_path):
+    def test_run_failure_recorded(self, tmp_path, caplog):
         # p larger than n makes the solver raise; the campaign must record
-        # the failure and continue.
+        # the failure, log its exception text, and continue.
+        caplog.set_level(logging.WARNING, logger="subdfo.bench")
         records = run_campaign(
             [("sphere", 4)],
             [SolverSpec("bad", "rsdfoq", {"p": 10}), SolverSpec("ok", "rsdfoq", {"p": 2})],
@@ -155,6 +157,9 @@ class TestCampaign:
         by_name = {r.solver: r for r in records}
         assert by_name["bad"].termination == "error"
         assert by_name["ok"].termination != "error"
+        [failure] = [r for r in caplog.records if r.name == "subdfo.bench"]
+        assert "ContractViolationError" in failure.getMessage()
+        assert "exceeds problem dimension" in failure.getMessage()
 
     def test_profiles_from_records(self, tmp_path):
         records = run_campaign(

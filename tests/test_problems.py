@@ -100,9 +100,6 @@ class TestOracles:
         assert p.evals == 17
         p.reset_evals()
         assert p.evals == 0
-        q = p.fresh()
-        p.objective(p.x0)
-        assert q.evals == 0
 
 
 class TestTrueCriticality:

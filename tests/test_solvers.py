@@ -7,6 +7,7 @@ from subdfo.exceptions import ContractViolationError
 from subdfo.interp import InterpolationSet
 from subdfo.numerics import Basis, orthonormal_basis
 from subdfo.problems import Problem, make_problem
+from subdfo.records import TERMINATIONS, RunRecord
 from subdfo.solvers import (
     SolverConfig,
     add_orthogonal_points,
@@ -81,7 +82,7 @@ class TestRemoveSinglePoint:
         # l_y(s) = s/2 evaluated at step 0.5 gives 0.25; the distance factor
         # is max(2^4 / 1^4, 1) = 16, so theta = 4 and y is removed.
         iset, basis = line_set()
-        removed = remove_single_point(iset, basis, np.array([0.5]), 1.0, iset.base)
+        removed = remove_single_point(iset, basis, np.array([0.5]), 1.0)
         assert removed[0] == 2.0
         assert len(iset.primary) == 1
         assert iset.secondary_values == [4.0]
@@ -93,7 +94,7 @@ class TestRemoveSinglePoint:
         iset.add_primary(np.array([1.0, 0.0]), 1.0)
         iset.add_primary(np.array([0.0, 1.0]), 2.0)
         basis = Basis(np.eye(2))
-        removed = remove_single_point(iset, basis, np.array([0.9, 0.1]), 1.0, iset.base)
+        removed = remove_single_point(iset, basis, np.array([0.9, 0.1]), 1.0)
         assert np.allclose(removed, [1.0, 0.0])
 
     def test_secondary_overflow_drops_oldest(self):
@@ -102,7 +103,7 @@ class TestRemoveSinglePoint:
         iset.add_primary(np.array([2.0]), 4.0)
         iset.move_to_secondary(2)
         basis = Basis(np.array([[1.0]]))
-        remove_single_point(iset, basis, np.array([0.0]), 1.0, iset.base)
+        remove_single_point(iset, basis, np.array([0.0]), 1.0)
         assert len(iset.secondary) == 1
         assert iset.secondary_values == [1.0]  # y=2 (older) was discarded
 
@@ -113,21 +114,21 @@ class TestRemoveSinglePoint:
         iset.add_primary(np.array([0.5]), 1.0)
         iset.add_primary(np.array([2.0]), 4.0)
         basis = Basis(np.array([[1.0]]))
-        removed = remove_single_point(iset, basis, np.array([0.0]), 1.0, iset.base)
+        removed = remove_single_point(iset, basis, np.array([0.0]), 1.0)
         assert removed[0] == 2.0
 
 
 class TestRemoveMultiplePoints:
     def test_count_zero_noop(self):
         iset, basis = line_set()
-        assert remove_multiple_points(iset, basis, 0, 1.0, iset.base) == []
+        assert remove_multiple_points(iset, basis, 0, 1.0) == []
         assert len(iset.primary) == 2
 
     def test_count_one_matches_single_zero_step(self):
         iset1, basis = line_set()
-        removed_multi = remove_multiple_points(iset1, basis, 1, 1.0, iset1.base)
+        removed_multi = remove_multiple_points(iset1, basis, 1, 1.0)
         iset2, _ = line_set()
-        removed_single = remove_single_point(iset2, basis, np.array([0.0]), 1.0, iset2.base)
+        removed_single = remove_single_point(iset2, basis, np.array([0.0]), 1.0)
         assert np.allclose(removed_multi[0], removed_single)
 
     def test_far_point_removed_first(self):
@@ -139,20 +140,20 @@ class TestRemoveMultiplePoints:
         far = np.full(p, 10.0 / math.sqrt(p))
         iset.add_primary(far, 100.0)
         basis = Basis(np.eye(p))
-        removed = remove_multiple_points(iset, basis, 2, 1.0, iset.base)
+        removed = remove_multiple_points(iset, basis, 2, 1.0)
         assert np.allclose(removed[0], far)
 
     def test_count_bound(self):
         iset, basis = line_set()
         with pytest.raises(ContractViolationError):
-            remove_multiple_points(iset, basis, 2, 1.0, iset.base)
+            remove_multiple_points(iset, basis, 2, 1.0)
 
 
 class TestAddOrthogonalPoints:
     def test_count_zero(self):
         iset, _ = line_set()
         calls = []
-        add_orthogonal_points(iset, iset.base, 1.0, 0, np.random.default_rng(0), calls.append)
+        add_orthogonal_points(iset, 1.0, 0, np.random.default_rng(0), calls.append)
         assert calls == []
 
     def test_fresh_frame_orthonormal(self):
@@ -164,7 +165,7 @@ class TestAddOrthogonalPoints:
             evals.append(x.copy())
             return float(x @ x)
 
-        add_orthogonal_points(iset, iset.base, 0.5, p, np.random.default_rng(1), obj)
+        add_orthogonal_points(iset, 0.5, p, np.random.default_rng(1), obj)
         assert len(evals) == p
         dirs = np.array(iset.primary[1:]) / 0.5
         gram = dirs @ dirs.T
@@ -175,9 +176,7 @@ class TestAddOrthogonalPoints:
         n = 3
         iset = InterpolationSet(np.zeros(n), 0.0, 2, 5)
         iset.add_primary(np.array([1.0, 0.0, 0.0]), 1.0)
-        add_orthogonal_points(
-            iset, iset.base, 1.0, 1, np.random.default_rng(2), lambda x: float(x @ x)
-        )
+        add_orthogonal_points(iset, 1.0, 1, np.random.default_rng(2), lambda x: float(x @ x))
         d = iset.primary[-1]
         assert abs(d[0]) <= 1e-12
 
@@ -187,9 +186,7 @@ class TestAddOrthogonalPoints:
         iset.add_primary(np.array([1.0, 0.0]), 1.0)
         iset.add_primary(np.array([0.0, 1.0]), 1.0)
         with pytest.raises(ContractViolationError):
-            add_orthogonal_points(
-                iset, iset.base, 1.0, 1, np.random.default_rng(3), lambda x: 0.0
-            )
+            add_orthogonal_points(iset, 1.0, 1, np.random.default_rng(3), lambda x: 0.0)
 
 
 class TestRunRsdfo:
@@ -395,11 +392,11 @@ class TestRunRsdfoq:
     def test_structural_invariants_each_iteration(self, monkeypatch):
         # At every model build (top of an iteration) the primary set holds
         # exactly p+1 points including the base, and the secondary set stays
-        # within its capacity.
+        # within its capacity: in the subspace regime and with p == n, where
+        # one point is demoted before the trial point is added.
         import subdfo.solvers as solvers_mod
         from subdfo.interp import build_mfn_model as real_build
 
-        p, q = 3, 7
         seen = []
 
         def probe(iset, basis, prev=None, **kwargs):
@@ -408,11 +405,30 @@ class TestRunRsdfoq:
             return real_build(iset, basis, prev=prev, **kwargs)
 
         monkeypatch.setattr(solvers_mod, "build_mfn_model", probe)
-        prob = make_problem("chained_rosenbrock", 6)
-        run_rsdfoq(prob, SolverConfig(p=p, q=q, seed=13, max_evals=500))
-        assert len(seen) > 20
-        assert all(n1 == p + 1 for n1, _ in seen)
-        assert all(n2 <= q - p - 1 for _, n2 in seen)
+        for n, p, q in ((6, 3, 7), (4, 4, 15)):
+            seen.clear()
+            prob = make_problem("chained_rosenbrock", n)
+            run_rsdfoq(prob, SolverConfig(p=p, q=q, seed=13, max_evals=500))
+            assert len(seen) > 20, (n, p)
+            assert all(n1 == p + 1 for n1, _ in seen), (n, p)
+            assert all(n2 <= q - p - 1 for _, n2 in seen), (n, p)
+
+    def test_inf_outside_small_ball_returns_record(self):
+        # f = ||x||^2 inside ||x - 1|| < 0.15 and inf outside: orthogonal
+        # probes land outside and are dropped, so the primary set can hold
+        # fewer points than the demotion heuristic asks to remove.
+        n = 20
+
+        def f(x):
+            return float(x @ x) if np.linalg.norm(x - 1.0) < 0.15 else math.inf
+
+        for p, seed in ((2, 0), (3, 1), (5, 0), (8, 2)):
+            prob = Problem("inf_outside_ball", n, f, None, None, np.ones(n), 0.0)
+            cfg = SolverConfig(p=p, seed=seed, max_evals=300)
+            rec = run_rsdfoq(prob, cfg)
+            assert isinstance(rec, RunRecord)
+            assert rec.termination in TERMINATIONS
+            assert rec.total_evals <= cfg.max_evals
 
     def test_time_cap(self):
         n = 30
