@@ -21,15 +21,7 @@ class SingularSystemError(RuntimeError):
 
 
 class ModelConstructionError(RuntimeError):
-    """Interpolation model could not be built from the given points.
-
-    ``offenders`` lists indices of the points implicated in the failure.
-    """
-
-    def __init__(self, message, offenders=None, condition=None):
-        super().__init__(message)
-        self.offenders = list(offenders) if offenders is not None else []
-        self.condition = condition
+    """Interpolation model could not be built from the given points."""
 
 
 class DegenerateGeometryError(RuntimeError):

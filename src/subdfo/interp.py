@@ -9,8 +9,8 @@ model-error scaling laws.
 """
 
 import logging
-import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,7 +21,7 @@ from .exceptions import (
     ModelConstructionError,
     SingularSystemError,
 )
-from .numerics import Basis, min_eigenpair, solve_saddle_system
+from .numerics import Basis, solve_saddle_system
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -35,8 +35,8 @@ class InterpolationSet:
     """Primary and secondary interpolation points with cached values.
 
     The primary set always contains the base point (current iterate); the
-    secondary set holds up to ``q - p - 1`` previously demoted points, each
-    tagged with an insertion age so the oldest can be discarded on overflow.
+    secondary set holds up to ``q - p - 1`` previously demoted points in
+    demotion order, so the oldest is discarded first on overflow.
     """
 
     def __init__(self, base, base_value: float, p: int, q: int):
@@ -49,8 +49,6 @@ class InterpolationSet:
         self.base_index = 0
         self.secondary = []
         self.secondary_values = []
-        self.secondary_ages = []
-        self._age = 0
 
     @property
     def base(self) -> np.ndarray:
@@ -84,13 +82,9 @@ class InterpolationSet:
             self.base_index -= 1
         self.secondary.append(point)
         self.secondary_values.append(value)
-        self.secondary_ages.append(self._age)
-        self._age += 1
         while len(self.secondary) > self.secondary_capacity:
-            oldest = int(np.argmin(self.secondary_ages))
-            self.secondary.pop(oldest)
-            self.secondary_values.pop(oldest)
-            self.secondary_ages.pop(oldest)
+            self.secondary.pop(0)
+            self.secondary_values.pop(0)
 
     def set_base(self, index: int):
         self.base_index = int(index)
@@ -113,7 +107,8 @@ class SubspaceModel:
     """Quadratic model c + g^T s + 0.5 s^T H s over subspace coordinates.
 
     ``base`` and ``map`` locate the subspace in full space (x = base + map @ s);
-    both may be None for a pure coordinate-space model.
+    both may be None for a pure coordinate-space model. ``eig`` is cached,
+    so the Hessian must not be changed in place after it is read.
     """
 
     base: Optional[np.ndarray]
@@ -140,6 +135,16 @@ class SubspaceModel:
     @property
     def dim(self) -> int:
         return self.gradient.shape[0]
+
+    @cached_property
+    def eig(self):
+        """Eigenvalues (ascending) and eigenvectors of the Hessian, computed once.
+
+        Both arrays are read-only because every reader shares them.
+        """
+        w, v = np.linalg.eigh(self.hessian)
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
 
     def value(self, s_hat) -> float:
         s = np.asarray(s_hat, dtype=float)
@@ -237,9 +242,7 @@ def build_mfn_model(
     values = [values[j] for j in keep]
     m = len(coords)
     if m < r + 1:
-        raise ModelConstructionError(
-            f"need at least {r + 1} distinct points, have {m}", offenders=keep
-        )
+        raise ModelConstructionError(f"need at least {r + 1} distinct points, have {m}")
 
     # Reference Hessian: previous model Hessian carried into the new subspace.
     if prev is None or prev.map is None:
@@ -265,10 +268,7 @@ def build_mfn_model(
     try:
         sol = solve_saddle_system(a_block, x_block.T, rhs)
     except SingularSystemError as err:
-        offenders = _closest_pair(coords)
-        raise ModelConstructionError(
-            f"degenerate MFN system: {err}", offenders=offenders, condition=err.condition
-        ) from err
+        raise ModelConstructionError(f"degenerate MFN system: {err}") from err
 
     lam = sol[:m]
     const = float(sol[m])
@@ -281,34 +281,16 @@ def build_mfn_model(
     kkt_bot = x_block.T @ lam
     kkt_res = float(np.linalg.norm(np.concatenate([kkt_top, kkt_bot])))
     if kkt_res > KKT_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
-        raise ModelConstructionError(
-            f"MFN KKT residual {kkt_res:.3e} too large", offenders=_closest_pair(coords)
-        )
+        raise ModelConstructionError(f"MFN KKT residual {kkt_res:.3e} too large")
 
     model = SubspaceModel(
         iset.base, q_mat, const, grad_s / dbar, h_s / dbar**2
     )
     vals = np.asarray(values)
     pred = const + u @ grad_s + 0.5 * np.einsum("ij,jk,ik->i", u, h_s, u)
-    bad = np.nonzero(
-        np.abs(pred - vals) > INTERP_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))
-    )[0]
-    if bad.size:
-        raise ModelConstructionError(
-            "interpolation residuals exceed tolerance", offenders=bad.tolist()
-        )
+    if np.any(np.abs(pred - vals) > INTERP_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))):
+        raise ModelConstructionError("interpolation residuals exceed tolerance")
     return model
-
-
-def _closest_pair(coords):
-    """Indices of the two closest coordinates (the usual degeneracy culprits)."""
-    best, pair = math.inf, []
-    for i in range(len(coords)):
-        for j in range(i + 1, len(coords)):
-            d = float(np.linalg.norm(coords[i] - coords[j]))
-            if d < best:
-                best, pair = d, [i, j]
-    return pair
 
 
 def n_quadratic_coeffs(p: int) -> int:
@@ -356,20 +338,12 @@ def build_full_quadratic_model(coords, values) -> SubspaceModel:
         with np.errstate(all="ignore"):
             coef = np.linalg.solve(design, values)
     except np.linalg.LinAlgError as err:
-        raise ModelConstructionError(
-            f"non-poised quadratic sample set: {err}",
-            offenders=_closest_pair(list(coords)),
-            condition=float(np.linalg.cond(design)),
-        ) from err
+        raise ModelConstructionError(f"non-poised quadratic sample set: {err}") from err
     if not np.all(np.isfinite(coef)) or (
         np.linalg.norm(design @ coef - values)
         > INTERP_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(values)))
     ):
-        raise ModelConstructionError(
-            "non-poised quadratic sample set (ill-conditioned solve)",
-            offenders=_closest_pair(list(coords)),
-            condition=float(np.linalg.cond(design)),
-        )
+        raise ModelConstructionError("non-poised quadratic sample set (ill-conditioned solve)")
 
     const = float(coef[0])
     grad = coef[1 : p + 1] / dbar
@@ -492,6 +466,5 @@ def certify_fully_quadratic(
 
 def model_criticality(model: SubspaceModel):
     """(sigma_m, tau_m): max of gradient norm and negative-curvature magnitude."""
-    lam, _ = min_eigenpair(model.hessian)
-    tau = max(-lam, 0.0)
+    tau = max(-float(model.eig[0][0]), 0.0)
     return max(float(np.linalg.norm(model.gradient)), tau), tau

@@ -249,8 +249,6 @@ def remove_single_point(
         scores = dists**4 / delta**4
 
     candidates = [t for t in range(len(iset.primary)) if t != iset.base_index]
-    if not candidates:
-        raise ContractViolationError("no removable primary points")
     smax = max(scores[t] for t in candidates)
     tol_s = 1e-12 * max(1.0, abs(smax))
     tied = [t for t in candidates if scores[t] >= smax - tol_s]
@@ -518,9 +516,10 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                     dedup_tol=1e-10 * state.delta,
                     max_residual=state.delta,
                 )
-            except ModelConstructionError:
+            except ModelConstructionError as err:
                 # Secondary points can make a near-degenerate system; retry
                 # on the primary set alone before giving up.
+                logger.debug("MFN fallback to primary points: %s", err)
                 model = build_mfn_model(
                     iset, basis, prev_model, dedup_tol=1e-10 * state.delta, use_secondary=False
                 )

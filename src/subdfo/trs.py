@@ -1,9 +1,9 @@
 """Trust-region subproblem solvers in subspace coordinates.
 
 Provides the certified Cauchy (steepest-descent) and negative-curvature
-steps, an exact eigendecomposition-based solver for small dimensions with a
-truncated-CG fallback for larger ones, and the acceptance ratio. All steps
-respect the ball constraint and carry directly verified decrease flags.
+steps, an exact solver built on the model's one eigendecomposition of its
+Hessian, and the acceptance ratio. All steps respect the ball constraint and
+carry directly verified decrease flags.
 """
 
 import math
@@ -15,11 +15,7 @@ from .exceptions import ContractViolationError
 from .interp import SubspaceModel
 from .numerics import lex_positive
 
-# Dimension threshold below which the exact eigendecomposition solver is used.
-EXACT_TRS_MAX_DIM = 50
-
-# Ball-constraint slack and certificate slack, both pure roundoff allowances.
-BALL_SLACK = 1e-12
+# Certificate slack, a pure roundoff allowance.
 CERT_SLACK = 1e-12
 
 
@@ -49,10 +45,10 @@ def _flags(dec: float, delta: float, gnorm: float, hnorm: float, tau: float):
 
 
 def _spectrum(model: SubspaceModel, delta: float):
-    """Eigendecomposition of H plus the gradient norm, |H|_2 and tau of the certificates."""
+    """The model's eigendecomposition of H plus the gradient norm, |H|_2 and tau."""
     if delta <= 0.0:
         raise ContractViolationError("delta must be positive")
-    w, v = np.linalg.eigh(model.hessian)
+    w, v = model.eig
     gnorm = math.sqrt(float(model.gradient @ model.gradient))
     hnorm = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
     tau = max(-float(w[0]), 0.0) if w.size else 0.0
@@ -187,50 +183,13 @@ def _exact_trs_eig(g: np.ndarray, w: np.ndarray, v: np.ndarray, delta: float) ->
     return v @ s
 
 
-def _steihaug_cg(g: np.ndarray, h: np.ndarray, delta: float) -> np.ndarray:
-    """Truncated CG for larger dimensions; exits on the boundary or curvature."""
-    p = g.size
-    s = np.zeros(p)
-    r = g.copy()
-    d = -r
-    rr = float(r @ r)
-    if rr == 0.0:
-        return s
-    tol = 1e-10 * math.sqrt(rr)
-    for _ in range(2 * p):
-        hd = h @ d
-        curv = float(d @ hd)
-        if curv <= 0.0:
-            return s + _boundary_tau(s, d, delta) * d
-        alpha = rr / curv
-        if np.linalg.norm(s + alpha * d) >= delta:
-            return s + _boundary_tau(s, d, delta) * d
-        s = s + alpha * d
-        r = r + alpha * hd
-        rr_new = float(r @ r)
-        if math.sqrt(rr_new) <= tol:
-            break
-        d = -r + (rr_new / rr) * d
-        rr = rr_new
-    return s
-
-
-def _boundary_tau(s: np.ndarray, d: np.ndarray, delta: float) -> float:
-    """Positive root of ||s + tau d|| = delta."""
-    a = float(d @ d)
-    b = 2.0 * float(s @ d)
-    c = float(s @ s) - delta**2
-    disc = max(b * b - 4.0 * a * c, 0.0)
-    return (-b + math.sqrt(disc)) / (2.0 * a)
-
-
 def solve_trs(model: SubspaceModel, delta: float, mode: str = "first_order") -> TrsResult:
     """Approximate ball minimizer dominating the certified elementary steps.
 
     In first_order mode the result's decrease dominates the Cauchy step's;
     in second_order mode it dominates both the Cauchy and the
-    negative-curvature step. A refinement solve (exact for small dimension,
-    truncated CG otherwise) is kept only when it improves the decrease.
+    negative-curvature step. The exact ball minimizer, from the model's
+    eigendecomposition, is kept only when it improves the decrease.
     """
     if mode not in ("first_order", "second_order"):
         raise ContractViolationError(f"unknown TRS mode {mode!r}")
@@ -242,10 +201,7 @@ def solve_trs(model: SubspaceModel, delta: float, mode: str = "first_order") -> 
     if mode == "second_order" and tau > 0.0:
         candidates.append((_eigen(model, delta, v, gnorm), "eigen"))
     if candidates:
-        if model.dim <= EXACT_TRS_MAX_DIM:
-            refined = _exact_trs_eig(model.gradient, w, v, delta)
-        else:
-            refined = _steihaug_cg(model.gradient, model.hessian, delta)
+        refined = _exact_trs_eig(model.gradient, w, v, delta)
         nrm = math.sqrt(float(refined @ refined))
         if nrm > delta:  # roundoff only; never violate the ball
             refined = refined * (delta / nrm)

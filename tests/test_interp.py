@@ -43,6 +43,11 @@ class TestInterpolationSet:
         # capacity q - p - 1 = 1: the older demotion was discarded
         assert len(iset.secondary) == 1
         assert iset.secondary_values == [3.0]
+        # three demotions into capacity 1 keep only the newest
+        iset = make_set([0.0], 0.0, 1, 3, primary=[((1.0,), 1.0), ((2.0,), 2.0), ((3.0,), 3.0)])
+        for _ in range(3):
+            iset.move_to_secondary(1)
+        assert iset.secondary_values == [3.0]
 
     def test_recenter(self):
         iset = make_set([0.0], 5.0, 1, 3, primary=[((1.0,), 2.0)])

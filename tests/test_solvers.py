@@ -413,6 +413,30 @@ class TestRunRsdfoq:
             assert all(n1 == p + 1 for n1, _ in seen), (n, p)
             assert all(n2 <= q - p - 1 for _, n2 in seen), (n, p)
 
+    def test_one_eigendecomposition_per_model(self, monkeypatch):
+        # Criticality and the TRS share each model's eigendecomposition, so
+        # a run calls eigh at most once per model built: once per logged
+        # iteration, plus the model of an iteration cut by the budget.
+        real_eigh = np.linalg.eigh
+        calls = 0
+
+        def counting_eigh(a, *args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        runs = (
+            (run_rsdfoq, SolverConfig(p=5, q=15, seed=0, max_evals=300)),
+            (run_rsdfo2, SolverConfig(p=3, seed=0, max_evals=300)),
+        )
+        for run, cfg in runs:
+            calls = 0
+            logs = []
+            run(make_problem("chained_rosenbrock", 20), cfg, log_cb=logs.append)
+            assert len(logs) > 20, run.__name__
+            assert calls <= len(logs) + 1, (run.__name__, calls, len(logs))
+
     def test_inf_outside_small_ball_returns_record(self):
         # f = ||x||^2 inside ||x - 1|| < 0.15 and inf outside: orthogonal
         # probes land outside and are dropped, so the primary set can hold

@@ -190,16 +190,29 @@ class TestSolveTrs:
             res = solve_trs(m, delta, "second_order")
             assert res.predicted_decrease == pytest.approx(-best, abs=1e-6)
 
-    def test_large_dimension_uses_cg(self):
+    def test_large_dimension_exact_solution(self):
+        # p = 80, positive definite and indefinite H: the step satisfies the
+        # exact ball-minimizer conditions (H + lam I) s = -g, lam >= 0,
+        # H + lam I PSD, lam = 0 unless the step is on the boundary.
         rng = np.random.default_rng(4)
         p = 80
         g = rng.standard_normal(p)
         a = rng.standard_normal((p, p)) / np.sqrt(p)
-        m = model(g, a + a.T + 3 * np.eye(p))
-        res = solve_trs(m, 0.7, "first_order")
-        cau = cauchy_step(m, 0.7)
-        assert res.predicted_decrease >= cau.predicted_decrease - 1e-10
-        assert np.linalg.norm(res.step) <= 0.7 * (1 + 1e-12)
+        for shift in (3.0, 0.0):
+            h = a + a.T + shift * np.eye(p)
+            m = model(g, h)
+            res = solve_trs(m, 0.7, "first_order")
+            cau = cauchy_step(m, 0.7)
+            assert res.predicted_decrease >= cau.predicted_decrease - 1e-10
+            s = res.step
+            assert np.linalg.norm(s) <= 0.7 * (1 + 1e-12)
+            lam = 0.0
+            if np.linalg.norm(s) >= 0.7 * (1 - 1e-8):
+                lam = -float(s @ (h @ s + g)) / float(s @ s)
+            assert lam >= 0.0, shift
+            assert np.linalg.norm(h @ s + lam * s + g) <= 1e-10 * np.linalg.norm(g), shift
+            assert np.linalg.eigvalsh(h + lam * np.eye(p))[0] >= -1e-10, shift
+        assert np.linalg.eigvalsh(h)[0] < 0.0  # the second case is indefinite
 
 
 class TestDecreaseRatio:
