@@ -1,4 +1,9 @@
-"""Random-subspace model-based derivative-free optimization toolkit."""
+"""Random-subspace model-based derivative-free optimization toolkit.
+
+The names below are the public API listed in the README; the building blocks
+(interpolation, trust-region subproblems, sketches, numerics) stay reachable
+through their submodules.
+"""
 
 from .bench import (
     ProfileCurve,
@@ -8,98 +13,28 @@ from .bench import (
     performance_profile,
     run_campaign,
 )
-from .interp import (
-    ErrorCertificate,
-    InterpolationSet,
-    LagrangeSet,
-    SubspaceModel,
-    build_full_quadratic_model,
-    build_mfn_model,
-    certify_fully_linear,
-    certify_fully_quadratic,
-    linear_lagrange,
-    model_criticality,
-    project_secondary,
-)
-from .numerics import Basis, min_eigenpair, orthonormal_basis, solve_saddle_system
 from .problems import CriticalityReport, Problem, make_problem, true_criticality
-from .records import RunRecord
-from .sketch import (
-    AlignmentReport,
-    SketchMatrix,
-    ThetaMargin,
-    estimate_alignment_probability,
-    gaussian_sketch,
-    is_well_aligned,
-    scaled_orthonormal_sketch,
-    theta_margin,
-    verify_polarization_bound,
-)
-from .solvers import (
-    IterationLog,
-    SolverConfig,
-    TrustRegionState,
-    add_orthogonal_points,
-    pdrop_heuristic,
-    remove_multiple_points,
-    remove_single_point,
-    run_rsdfo,
-    run_rsdfo2,
-    run_rsdfoq,
-)
-from .trs import TrsResult, cauchy_step, decrease_ratio, eigen_step, solve_trs
+from .records import TERMINATIONS, RunRecord
+from .solvers import IterationLog, SolverConfig, run_rsdfo, run_rsdfo2, run_rsdfoq
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlignmentReport",
-    "Basis",
     "CriticalityReport",
-    "ErrorCertificate",
-    "InterpolationSet",
     "IterationLog",
-    "LagrangeSet",
-    "ProfileCurve",
     "Problem",
+    "ProfileCurve",
     "RunRecord",
-    "SketchMatrix",
     "SolverConfig",
     "SolverSpec",
-    "SubspaceModel",
-    "ThetaMargin",
-    "TrsResult",
-    "TrustRegionState",
-    "add_orthogonal_points",
-    "build_full_quadratic_model",
-    "build_mfn_model",
-    "cauchy_step",
-    "certify_fully_linear",
-    "certify_fully_quadratic",
+    "TERMINATIONS",
     "data_profile",
-    "decrease_ratio",
-    "eigen_step",
-    "estimate_alignment_probability",
     "evals_to_accuracy",
-    "gaussian_sketch",
-    "is_well_aligned",
-    "linear_lagrange",
     "make_problem",
-    "min_eigenpair",
-    "model_criticality",
-    "orthonormal_basis",
-    "pdrop_heuristic",
     "performance_profile",
-    "project_secondary",
-    "remove_multiple_points",
-    "remove_single_point",
     "run_campaign",
     "run_rsdfo",
     "run_rsdfo2",
     "run_rsdfoq",
-    "scaled_orthonormal_sketch",
-    "solve_saddle_system",
-    "solve_trs",
-    "theta_margin",
     "true_criticality",
-    "verify_polarization_bound",
 ]

@@ -67,10 +67,11 @@ def _cmd_solve(args) -> int:
                     )
                 )
                 fh.write("\n")
-    print(
-        f"{rec.solver} on {rec.problem} (n={rec.n}): best f = {rec.best_f:.6g} "
-        f"after {rec.evals} evaluations ({rec.termination})"
-    )
+    if rec.trace:
+        outcome = f"best f = {rec.best_f:.6g} after {rec.evals} evaluations"
+    else:
+        outcome = f"no finite value in {rec.total_evals} evaluations"
+    print(f"{rec.solver} on {rec.problem} (n={rec.n}): {outcome} ({rec.termination})")
     return 0
 
 

@@ -10,14 +10,7 @@ class EmptyBasisError(ValueError):
 
 
 class SingularSystemError(RuntimeError):
-    """A linear system was singular beyond the regularization threshold.
-
-    Carries a condition-number estimate in ``condition``.
-    """
-
-    def __init__(self, message, condition=None):
-        super().__init__(message)
-        self.condition = condition
+    """A linear system was singular beyond the regularization threshold."""
 
 
 class ModelConstructionError(RuntimeError):

@@ -125,8 +125,7 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
     ``a`` is the symmetric top-left block (m x m), ``b`` the coupling block
     (k x m, possibly empty/None) and ``rhs`` the full right-hand side of
     length m + k. Near-singular systems are retried once with a small
-    inertia-preserving ridge; anything worse raises SingularSystemError with
-    a condition estimate.
+    inertia-preserving ridge; anything worse raises SingularSystemError.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     m = a.shape[0]
@@ -173,9 +172,7 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
         reg = kkt + ridge * np.diag(np.concatenate([np.ones(m), -np.ones(k)]))
         sol = attempt(reg)
     if sol is None:
-        cond = float(np.linalg.cond(kkt))
         raise SingularSystemError(
-            f"saddle system singular beyond regularization (cond ~ {cond:.3e})",
-            condition=cond,
+            f"{m + k}x{m + k} saddle system singular beyond regularization"
         )
     return sol

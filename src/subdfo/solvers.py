@@ -10,6 +10,7 @@ models, a trust-region lower bound rho and geometry-aware point removal.
 import logging
 import math
 import time
+from collections import deque
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
@@ -29,6 +30,7 @@ from .interp import (
     full_quadratic_stencil,
     lagrange_from_coords,
     model_criticality,
+    n_quadratic_coeffs,
 )
 from .numerics import Basis, orthonormal_basis
 from .records import RunRecord
@@ -103,8 +105,7 @@ class SolverConfig:
         if self.delta0 is not None and not (0.0 < self.delta0 <= self.delta_max):
             raise ContractViolationError("need 0 < delta0 <= delta_max")
         q = self.resolved_q
-        full = (self.p + 1) * (self.p + 2) // 2
-        if not (self.p + 2 <= q <= full):
+        if not (self.p + 2 <= q <= n_quadratic_coeffs(self.p)):
             raise ContractViolationError(
                 f"need p+2 <= q <= (p+1)(p+2)/2, got q={q} for p={self.p}"
             )
@@ -113,8 +114,7 @@ class SolverConfig:
 
     @property
     def resolved_q(self) -> int:
-        full = (self.p + 1) * (self.p + 2) // 2
-        return min(2 * self.p + 1, full) if self.q is None else self.q
+        return min(2 * self.p + 1, n_quadratic_coeffs(self.p)) if self.q is None else self.q
 
     def resolved_delta0(self, x0) -> float:
         if self.delta0 is not None:
@@ -130,21 +130,6 @@ class SolverConfig:
         return cls(**d)
 
 
-@dataclass
-class TrustRegionState:
-    """Radii and the rho history ring used to gate rho reductions."""
-
-    delta: float
-    rho: float
-    rho_history: list  # (rho_j, min(||s_j||, delta_j)) pairs, one per iteration
-
-    def can_reduce_rho(self, patience: int) -> bool:
-        if len(self.rho_history) <= patience:
-            return False
-        window = self.rho_history[-(patience + 1):]
-        return window[0][0] == self.rho and all(ms <= r for r, ms in window)
-
-
 @dataclass(frozen=True)
 class IterationLog:
     """One line of the per-iteration trace."""
@@ -158,52 +143,80 @@ class IterationLog:
     evals_used: int
 
 
-class _BudgetExceeded(Exception):
-    pass
+class _Stop(Exception):
+    """Ends a run with ``termination``; the message says why it was an error."""
 
-
-class _TimeExceeded(Exception):
-    pass
-
-
-class _NonFiniteAtStart(Exception):
-    pass
+    def __init__(self, termination: str, message: str = ""):
+        super().__init__(message)
+        self.termination = termination
 
 
 class _TracedObjective:
-    """Counting/tracing wrapper enforcing the evaluation budget and time cap.
+    """One solver run: the counted objective and the way the run ends.
 
-    Non-finite values are mapped to +inf (the run aborts only if the very
-    first evaluation is non-finite).
+    Construction validates the config against the problem. Calls count
+    evaluations, enforce the budget and the time cap, and record the
+    best-value trace; non-finite values are mapped to +inf, except a
+    non-finite first value, which ends the run as "error". Used as a context
+    manager around the whole run, it turns every ``_Stop`` and every
+    model/basis failure into the run's termination and builds ``record``.
     """
 
-    def __init__(self, problem, max_evals: int, max_time: Optional[float], t_start: float):
+    def __init__(self, problem, config: SolverConfig, solver: str):
+        config.validate()
+        if config.p > problem.dim:
+            raise ContractViolationError(f"p={config.p} exceeds problem dimension n={problem.dim}")
         self._fn = problem.objective
-        self.max_evals = max_evals
-        self.max_time = max_time
-        self.t_start = t_start
+        self.problem = problem
+        self.config = config
+        self.solver = solver
         self.count = 0
         self.best = math.inf
         self.trace = []
+        self.record: Optional[RunRecord] = None
+        self.t_start = time.perf_counter()
 
     def check_time(self):
-        if self.max_time is not None and time.perf_counter() - self.t_start > self.max_time:
-            raise _TimeExceeded
+        max_time = self.config.max_time
+        if max_time is not None and time.perf_counter() - self.t_start > max_time:
+            raise _Stop("time")
 
     def __call__(self, x) -> float:
-        if self.count >= self.max_evals:
-            raise _BudgetExceeded
+        if self.count >= self.config.max_evals:
+            raise _Stop("budget")
         self.check_time()
         self.count += 1
         val = float(self._fn(x))
         if not math.isfinite(val):
             if self.count == 1:
-                raise _NonFiniteAtStart
+                raise _Stop("error", f"objective is {val} at the starting point")
             val = math.inf
         if val < self.best:
             self.best = val
             self.trace.append((self.count, val))
         return val
+
+    def __enter__(self) -> "_TracedObjective":
+        return self
+
+    def __exit__(self, exc_type, err, tb) -> bool:
+        if isinstance(err, (EmptyBasisError, ModelConstructionError)):
+            err = _Stop("error", str(err))
+        if not isinstance(err, _Stop):
+            return False
+        if err.termination == "error":
+            logger.warning("run aborted: %s", err)
+        self.record = RunRecord(
+            problem=self.problem.name,
+            n=self.problem.dim,
+            solver=self.solver,
+            seed=self.config.seed,
+            trace=self.trace,
+            wall_time=time.perf_counter() - self.t_start,
+            termination=err.termination,
+            total_evals=self.count,
+        )
+        return True
 
 
 def pdrop_heuristic(r_k: Optional[float], p: int, full_space: bool) -> int:
@@ -333,19 +346,6 @@ def add_orthogonal_points(
     return added
 
 
-def _finalize(problem, config, solver: str, obj: _TracedObjective, t0: float, termination: str) -> RunRecord:
-    return RunRecord(
-        problem=problem.name,
-        n=problem.dim,
-        solver=solver,
-        seed=config.seed,
-        trace=list(obj.trace),
-        wall_time=time.perf_counter() - t0,
-        termination=termination,
-        total_evals=obj.count,
-    )
-
-
 def _run_prototype(
     problem,
     config: SolverConfig,
@@ -355,35 +355,25 @@ def _run_prototype(
     iterate_hook: Optional[Callable] = None,
 ) -> RunRecord:
     """Common driver for the two theoretical algorithms (linear vs quadratic models)."""
-    config.validate()
+    run = _TracedObjective(problem, config, solver_name)
     n = problem.dim
     p = config.p
-    if p > n:
-        raise ContractViolationError(f"p={p} exceeds problem dimension n={n}")
     if config.sketch_kind == "identity" and p != n:
         raise ContractViolationError("identity sketch requires p = n")
 
-    t0 = time.perf_counter()
-    obj = _TracedObjective(problem, config.max_evals, config.max_time, t0)
-    x = np.asarray(problem.x0, dtype=float).copy()
-    try:
-        fx = obj(x)
-    except _NonFiniteAtStart:
-        return _finalize(problem, config, solver_name, obj, t0, "error")
-
-    delta = config.resolved_delta0(x)
-    termination = "budget"
-    model_critical = False
-    floor = config.rho_end if config.rho_end > 0.0 else RADIUS_EPS
-    k = 0
-    try:
+    with run:
+        x = np.asarray(problem.x0, dtype=float).copy()
+        fx = run(x)
+        delta = config.resolved_delta0(x)
+        model_critical = False
+        floor = config.rho_end if config.rho_end > 0.0 else RADIUS_EPS
+        k = 0
         while True:
             if delta < floor:
-                termination = "critical" if model_critical else "rho_floor"
-                break
+                raise _Stop("critical" if model_critical else "rho_floor")
             if iterate_hook is not None:
                 iterate_hook(k, x)
-            obj.check_time()
+            run.check_time()
 
             sketch = make_sketch(
                 config.sketch_kind, n, p, derive_seed(config.seed, "sketch", k)
@@ -395,7 +385,7 @@ def _run_prototype(
             vals = np.empty(len(coords))
             vals[0] = fx  # stencil origin is the current iterate
             for i in range(1, len(coords)):
-                vals[i] = obj(x + sketch.map @ coords[i])
+                vals[i] = run(x + sketch.map @ coords[i])
             if not np.all(np.isfinite(vals)):
                 # The stencil left the region where f is finite: no model can
                 # be built, so count the iteration as unsuccessful and shrink.
@@ -403,7 +393,7 @@ def _run_prototype(
                 delta = config.gamma_dec * delta
                 if log_cb is not None:
                     log_cb(
-                        IterationLog(k, "unsuccessful", None, delta_used, None, math.nan, obj.count)
+                        IterationLog(k, "unsuccessful", None, delta_used, None, math.nan, run.count)
                     )
                 k += 1
                 continue
@@ -429,7 +419,7 @@ def _run_prototype(
             if result.predicted_decrease > 0.0:
                 model_critical = False
                 trial = x + sketch.map @ result.step
-                f_trial = obj(trial)
+                f_trial = run(trial)
                 ratio = decrease_ratio(fx, f_trial, result.predicted_decrease)
                 success = ratio >= config.eta and guard >= config.mu * delta
             else:
@@ -447,16 +437,9 @@ def _run_prototype(
                 cls = "unsuccessful"
 
             if log_cb is not None:
-                log_cb(IterationLog(k, cls, ratio, delta_used, None, sigma_m, obj.count))
+                log_cb(IterationLog(k, cls, ratio, delta_used, None, sigma_m, run.count))
             k += 1
-    except _BudgetExceeded:
-        termination = "budget"
-    except _TimeExceeded:
-        termination = "time"
-    except ModelConstructionError as err:
-        logger.warning("run aborted: %s", err)
-        termination = "error"
-    return _finalize(problem, config, solver_name, obj, t0, termination)
+    return run.record
 
 
 def run_rsdfo(problem, config: SolverConfig, log_cb=None, iterate_hook=None) -> RunRecord:
@@ -471,39 +454,30 @@ def run_rsdfo2(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
 
 def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) -> RunRecord:
     """Practical subspace solver with MFN quadratic models and point reuse."""
-    config.validate()
+    run = _TracedObjective(problem, config, "rsdfoq")
     n = problem.dim
     p = config.p
     q = config.resolved_q
-    if p > n:
-        raise ContractViolationError(f"p={p} exceeds problem dimension n={n}")
 
-    t0 = time.perf_counter()
-    obj = _TracedObjective(problem, config.max_evals, config.max_time, t0)
-    x0 = np.asarray(problem.x0, dtype=float).copy()
-    try:
-        f0 = obj(x0)
-    except _NonFiniteAtStart:
-        return _finalize(problem, config, "rsdfoq", obj, t0, "error")
+    with run:
+        x0 = np.asarray(problem.x0, dtype=float).copy()
+        f0 = run(x0)
+        delta = rho = config.resolved_delta0(x0)
+        # (rho_j, min(||s_j||, delta_j)) of the last rho_patience + 1 iterations
+        rho_history = deque(maxlen=config.rho_patience + 1)
+        iset = InterpolationSet(x0, f0, p, q)
+        prev_model = None
 
-    delta0 = config.resolved_delta0(x0)
-    state = TrustRegionState(delta0, delta0, [])
-    iset = InterpolationSet(x0, f0, p, q)
-    termination = "budget"
-    prev_model = None
-
-    try:
         # Initial primary set: p random orthonormal directions at radius delta0.
         rng0 = derive_rng(config.seed, "init")
-        add_orthogonal_points(iset, delta0, p, rng0, obj)
+        add_orthogonal_points(iset, delta, p, rng0, run)
         iset.recenter_to_best()
 
         k = 0
         while True:
-            obj.check_time()
-            if state.rho < RADIUS_EPS:
-                termination = "rho_floor"
-                break
+            run.check_time()
+            if rho < RADIUS_EPS:
+                raise _Stop("rho_floor")
             if iterate_hook is not None:
                 iterate_hook(k, iset.base)
 
@@ -513,46 +487,50 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                     iset,
                     basis,
                     prev_model,
-                    dedup_tol=1e-10 * state.delta,
-                    max_residual=state.delta,
+                    dedup_tol=1e-10 * delta,
+                    max_residual=delta,
                 )
             except ModelConstructionError as err:
                 # Secondary points can make a near-degenerate system; retry
                 # on the primary set alone before giving up.
                 logger.debug("MFN fallback to primary points: %s", err)
                 model = build_mfn_model(
-                    iset, basis, prev_model, dedup_tol=1e-10 * state.delta, use_secondary=False
+                    iset, basis, prev_model, dedup_tol=1e-10 * delta, use_secondary=False
                 )
             prev_model = model
             sigma_m, _ = model_criticality(model)
-            result = solve_trs(model, state.delta, "second_order")
+            result = solve_trs(model, delta, "second_order")
             snorm = float(np.linalg.norm(result.step))
 
-            state.rho_history.append((state.rho, min(snorm, state.delta)))
-            if len(state.rho_history) > config.rho_patience + 1:
-                state.rho_history.pop(0)
-            can_reduce = state.can_reduce_rho(config.rho_patience)
+            # rho may be reduced only after rho_patience + 1 iterations at
+            # this rho whose steps all stayed within it.
+            rho_history.append((rho, min(snorm, delta)))
+            can_reduce = (
+                len(rho_history) == rho_history.maxlen
+                and rho_history[0][0] == rho
+                and all(ms <= r for r, ms in rho_history)
+            )
 
             ratio = None
-            delta_next = state.delta
-            if snorm < config.gamma_s * state.rho:
+            delta_next = delta
+            if snorm < config.gamma_s * rho:
                 ratio = -1.0
                 cls = "safety"
-                delta_next = max(config.gamma_dec * state.delta, state.rho)
-                if (not can_reduce) or state.delta > state.rho:
-                    remove_single_point(iset, basis, np.zeros(n), state.delta)
+                delta_next = max(config.gamma_dec * delta, rho)
+                if (not can_reduce) or delta > rho:
+                    remove_single_point(iset, basis, np.zeros(n), delta)
             else:
                 step = basis.lift(result.step)
                 trial = iset.base + step
-                f_trial = obj(trial)
+                f_trial = run(trial)
                 ratio = decrease_ratio(iset.base_value, f_trial, result.predicted_decrease)
                 if ratio < config.eta1:
-                    delta_next = max(min(config.gamma_dec * state.delta, snorm), state.rho)
+                    delta_next = max(min(config.gamma_dec * delta, snorm), rho)
                 elif ratio <= config.eta2:
-                    delta_next = max(config.gamma_dec * state.delta, snorm, state.rho)
+                    delta_next = max(config.gamma_dec * delta, snorm, rho)
                 else:
                     delta_next = min(
-                        max(config.gamma_inc * state.delta, config.gamma_inc_bar * snorm),
+                        max(config.gamma_inc * delta, config.gamma_inc_bar * snorm),
                         config.delta_max,
                     )
                 accepted = ratio > 0.0
@@ -560,7 +538,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                 if p == n:
                     # Full space: one point, scored at the tentative step,
                     # is demoted before the trial point joins.
-                    remove_single_point(iset, basis, step, state.delta)
+                    remove_single_point(iset, basis, step, delta)
                 if math.isfinite(f_trial) and not iset.contains_primary(trial, 1e-14):
                     iset.add_primary(trial, f_trial)
                     if accepted:
@@ -568,41 +546,29 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                 # Non-finite probes may have left fewer points than the
                 # heuristic asks to demote; the base always stays.
                 n_drop = pdrop_heuristic(ratio, p, full_space=(p == n))
-                remove_multiple_points(
-                    iset, basis, min(n_drop, len(iset.primary) - 1), state.delta
-                )
+                remove_multiple_points(iset, basis, min(n_drop, len(iset.primary) - 1), delta)
 
-            rho_next = state.rho
-            if ratio is not None and ratio < 0.0 and state.delta <= state.rho and can_reduce:
-                rho_next = config.alpha1 * state.rho
-                delta_next = config.alpha2 * state.rho
+            rho_next = rho
+            if ratio is not None and ratio < 0.0 and delta <= rho and can_reduce:
+                rho_next = config.alpha1 * rho
+                delta_next = config.alpha2 * rho
                 cls = "rho_reduced"
 
             n_add = p + 1 - len(iset.primary)
             if n_add > 0:
                 add_orthogonal_points(
-                    iset, delta_next, n_add, derive_rng(config.seed, "add", k), obj
+                    iset, delta_next, n_add, derive_rng(config.seed, "add", k), run
                 )
             iset.recenter_to_best()
 
             if log_cb is not None:
-                log_cb(
-                    IterationLog(k, cls, ratio, state.delta, state.rho, sigma_m, obj.count)
-                )
-            state.delta = delta_next
-            state.rho = rho_next
+                log_cb(IterationLog(k, cls, ratio, delta, rho, sigma_m, run.count))
+            delta = delta_next
+            rho = rho_next
             k += 1
-            if config.rho_end > 0.0 and state.rho <= config.rho_end:
-                termination = "rho_floor"
-                break
-    except _BudgetExceeded:
-        termination = "budget"
-    except _TimeExceeded:
-        termination = "time"
-    except (EmptyBasisError, ModelConstructionError) as err:
-        logger.warning("run aborted: %s", err)
-        termination = "error"
-    return _finalize(problem, config, "rsdfoq", obj, t0, termination)
+            if config.rho_end > 0.0 and rho <= config.rho_end:
+                raise _Stop("rho_floor")
+    return run.record
 
 
 SOLVERS = {

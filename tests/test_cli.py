@@ -62,6 +62,26 @@ class TestSolve:
         )
         assert code == 0
 
+    def test_run_without_evaluations_reports_termination(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_time": 1e-12}))
+        out_dir = tmp_path / "o"
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--problem", "sphere",
+            "--n", "4",
+            "--solver", "rsdfoq",
+            "--p", "2",
+            "--out", str(out_dir),
+            "--config", str(cfg),
+        )
+        assert code == 0, err
+        assert "best f" not in out
+        assert "(time)" in out
+        record = json.loads((out_dir / "records.jsonl").read_text())
+        assert (record["termination"], record["total_evals"], record["trace"]) == ("time", 0, [])
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_field": 1}))

@@ -1,14 +1,17 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from subdfo.exceptions import ContractViolationError
+import subdfo.solvers as solvers_mod
+from subdfo.exceptions import ContractViolationError, ModelConstructionError
 from subdfo.interp import InterpolationSet
 from subdfo.numerics import Basis, orthonormal_basis
 from subdfo.problems import Problem, make_problem
 from subdfo.records import TERMINATIONS, RunRecord
 from subdfo.solvers import (
+    SOLVERS,
     SolverConfig,
     add_orthogonal_points,
     pdrop_heuristic,
@@ -187,6 +190,50 @@ class TestAddOrthogonalPoints:
         iset.add_primary(np.array([0.0, 1.0]), 1.0)
         with pytest.raises(ContractViolationError):
             add_orthogonal_points(iset, 1.0, 1, np.random.default_rng(3), lambda x: 0.0)
+
+
+# The name each solver builds its model through, as seen from subdfo.solvers.
+MODEL_BUILDERS = {
+    "rsdfo": "SubspaceModel",
+    "rsdfo2": "build_full_quadratic_model",
+    "rsdfoq": "build_mfn_model",
+}
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_run_lifecycle_ends_every_run_with_a_record(solver, monkeypatch, caplog):
+    run = SOLVERS[solver]
+    caplog.set_level(logging.WARNING, logger="subdfo.solvers")
+
+    def warnings():
+        return [r.getMessage() for r in caplog.records if r.name == "subdfo.solvers"]
+
+    # A time cap that has expired before the first evaluation.
+    prob = make_problem("sphere", 10)
+    rec = run(prob, SolverConfig(p=3, max_time=1e-12, max_evals=100))
+    assert (rec.termination, rec.total_evals, rec.trace) == ("time", 0, [])
+    assert prob.evals == 0
+
+    # A non-finite objective at the starting point.
+    prob = Problem("nan_at_x0", 4, lambda x: float("nan"), None, None, np.zeros(4), 0.0)
+    rec = run(prob, SolverConfig(p=2, seed=0, max_evals=50))
+    assert rec.termination == "error"
+    assert rec.total_evals == prob.evals == 1
+    assert rec.trace == []
+    assert warnings() == ["run aborted: objective is nan at the starting point"]
+    caplog.clear()
+
+    # A model that cannot be built.
+    def failing_builder(*args, **kwargs):
+        raise ModelConstructionError("injected model failure")
+
+    monkeypatch.setattr(solvers_mod, MODEL_BUILDERS[solver], failing_builder)
+    prob = make_problem("sphere", 6)
+    rec = run(prob, SolverConfig(p=2, seed=0, max_evals=200))
+    assert rec.termination == "error"
+    assert rec.total_evals == prob.evals > 1
+    assert rec.trace[0] == (1, prob.raw_objective(prob.x0))
+    assert warnings() == ["run aborted: injected model failure"]
 
 
 class TestRunRsdfo:
