@@ -16,7 +16,7 @@ from . import bench
 from .exceptions import ContractViolationError
 from .problems import catalog, make_problem
 from .seeding import derive_rng
-from .sketch import default_p_max, estimate_alignment_probability
+from .sketch import SKETCH_KINDS, default_p_max, estimate_alignment_probability
 from .solvers import SOLVERS, SolverConfig
 
 
@@ -151,9 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", required=True)
     ps.add_argument("--trace", action="store_true", help="write per-iteration trace")
     ps.add_argument("--config", default=None, help="JSON file with SolverConfig fields")
-    ps.add_argument(
-        "--sketch", choices=("gaussian", "scaled_orthonormal", "identity"), default=None
-    )
+    ps.add_argument("--sketch", choices=SKETCH_KINDS, default=None)
     ps.set_defaults(func=_cmd_solve)
 
     pb = sub.add_parser("bench", help="run a campaign from a suite file")

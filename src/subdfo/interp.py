@@ -21,7 +21,7 @@ from .exceptions import (
     ModelConstructionError,
     SingularSystemError,
 )
-from .numerics import Basis, solve_saddle_system
+from .numerics import Basis, check_symmetric, solve_saddle_system
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -66,11 +66,12 @@ class InterpolationSet:
         self.primary.append(np.asarray(point, dtype=float))
         self.primary_values.append(float(value))
 
-    def contains_primary(self, point, tol: float = 0.0) -> bool:
+    def contains_primary(self, point) -> bool:
+        """Whether a primary point lies within 1e-14 max(1, ||point||) of ``point``."""
         point = np.asarray(point, dtype=float)
         scale = max(1.0, float(np.linalg.norm(point)))
         diffs = np.array(self.primary) - point
-        return bool(np.min(np.einsum("ij,ij->i", diffs, diffs)) <= (tol * scale) ** 2)
+        return bool(np.min(np.einsum("ij,ij->i", diffs, diffs)) <= (1e-14 * scale) ** 2)
 
     def move_to_secondary(self, index: int):
         """Demote primary point ``index`` to the secondary set (never the base)."""
@@ -85,9 +86,6 @@ class InterpolationSet:
         while len(self.secondary) > self.secondary_capacity:
             self.secondary.pop(0)
             self.secondary_values.pop(0)
-
-    def set_base(self, index: int):
-        self.base_index = int(index)
 
     def recenter_to_best(self):
         """Move the base marker to the primary point with smallest value."""
@@ -107,8 +105,9 @@ class SubspaceModel:
     """Quadratic model c + g^T s + 0.5 s^T H s over subspace coordinates.
 
     ``base`` and ``map`` locate the subspace in full space (x = base + map @ s);
-    both may be None for a pure coordinate-space model. ``eig`` is cached,
-    so the Hessian must not be changed in place after it is read.
+    both may be None for a pure coordinate-space model. Non-finite
+    coefficients raise ModelConstructionError. ``eig`` is cached, so the
+    Hessian must not be changed in place after it is read.
     """
 
     base: Optional[np.ndarray]
@@ -119,13 +118,11 @@ class SubspaceModel:
 
     def __post_init__(self):
         g = np.asarray(self.gradient, dtype=float)
-        h = np.atleast_2d(np.asarray(self.hessian, dtype=float))
+        h = np.asarray(self.hessian, dtype=float)
         if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
-            raise ContractViolationError("model coefficients must be finite")
-        if np.max(np.abs(h - h.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(h), initial=0.0)):
-            raise ContractViolationError("model Hessian must be symmetric")
+            raise ModelConstructionError("model coefficients must be finite")
         self.gradient = g
-        self.hessian = 0.5 * (h + h.T)
+        self.hessian = check_symmetric(h)
         self.constant = float(self.constant)
         if self.base is not None:
             self.base = np.asarray(self.base, dtype=float)
@@ -142,7 +139,10 @@ class SubspaceModel:
 
         Both arrays are read-only because every reader shares them.
         """
-        w, v = np.linalg.eigh(self.hessian)
+        try:
+            w, v = np.linalg.eigh(self.hessian)
+        except np.linalg.LinAlgError as err:
+            raise ModelConstructionError(f"model Hessian: {err}") from err
         w.flags.writeable = v.flags.writeable = False
         return w, v
 
@@ -152,12 +152,6 @@ class SubspaceModel:
 
     def gradient_at(self, s_hat) -> np.ndarray:
         return self.gradient + self.hessian @ np.asarray(s_hat, dtype=float)
-
-    def lift(self, s_hat) -> np.ndarray:
-        """Full-space point base + map @ s."""
-        if self.base is None or self.map is None:
-            raise ContractViolationError("model has no full-space anchoring")
-        return self.base + self.map @ np.asarray(s_hat, dtype=float)
 
 
 def project_secondary(iset: InterpolationSet, basis: Basis):
@@ -169,16 +163,19 @@ def project_secondary(iset: InterpolationSet, basis: Basis):
 
 
 def _dedup_coords(coords, tol: float):
-    """Indices of coordinates to keep, dropping near-duplicates of earlier ones."""
+    """Indices of coordinates to keep, dropping near-duplicates of earlier ones.
+
+    Greedy in order: a point is dropped when it lies within ``tol`` of an
+    earlier point that was kept. Only points with some close earlier point
+    can be dropped, so only those are visited.
+    """
     pts = np.atleast_2d(np.asarray(coords))
     diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    keep = []
-    for j in range(len(pts)):
-        if keep and np.min(dist[j, keep]) < tol:
-            continue
-        keep.append(j)
-    return keep
+    close = np.tril(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) < tol, -1)
+    keep = np.ones(len(pts), dtype=bool)
+    for j in np.flatnonzero(close.any(axis=1)):
+        keep[j] = not np.any(close[j] & keep)
+    return np.flatnonzero(keep)
 
 
 def build_mfn_model(
@@ -252,11 +249,7 @@ def build_mfn_model(
         h_ref = cross @ prev.hessian @ cross.T
         h_ref = 0.5 * (h_ref + h_ref.T)
 
-    # Scale coordinates to unit size for conditioning.
-    dbar = float(np.max(np.linalg.norm(coords, axis=1)))
-    if dbar <= 0.0:
-        dbar = 1.0
-    u = coords / dbar  # (m, r)
+    u, dbar = _unit_scale(coords)  # (m, r)
     h_ref_s = h_ref * dbar**2
 
     gram = u @ u.T
@@ -293,6 +286,14 @@ def build_mfn_model(
     return model
 
 
+def _unit_scale(coords):
+    """Coordinates divided by their largest norm (for conditioning), and that norm."""
+    dbar = float(np.max(np.linalg.norm(coords, axis=1)))
+    if dbar <= 0.0:
+        dbar = 1.0
+    return coords / dbar, dbar
+
+
 def n_quadratic_coeffs(p: int) -> int:
     """Number of coefficients of a p-dimensional quadratic: (p+1)(p+2)/2."""
     return (p + 1) * (p + 2) // 2
@@ -321,10 +322,7 @@ def build_full_quadratic_model(coords, values) -> SubspaceModel:
         raise ContractViolationError(
             f"need exactly {n_quadratic_coeffs(p)} points for p={p}, got {m}"
         )
-    dbar = float(np.max(np.linalg.norm(coords, axis=1)))
-    if dbar <= 0.0:
-        dbar = 1.0
-    u = coords / dbar
+    u, dbar = _unit_scale(coords)
 
     cols = [np.ones(m)]
     cols.extend(u[:, i] for i in range(p))
@@ -384,20 +382,10 @@ def lagrange_from_coords(coords) -> LagrangeSet:
         raise DegenerateGeometryError(f"affinely dependent point set: {err}") from err
     if not np.all(np.isfinite(inv)):
         raise DegenerateGeometryError("affinely dependent point set")
-    lag = LagrangeSet(inv[0, :].copy(), inv[1:, :].T.copy())
-    card = np.column_stack([lag.evaluate(s) for s in coords])
-    if np.max(np.abs(card - np.eye(m))) > LAGRANGE_TOL:
+    # Cardinality: l_t(y_j) = (mat @ inv)[j, t] must be the identity.
+    if np.max(np.abs(mat @ inv - np.eye(m))) > LAGRANGE_TOL:
         raise DegenerateGeometryError("Lagrange cardinality check failed")
-    return lag
-
-
-def linear_lagrange(iset: InterpolationSet, basis: Basis) -> LagrangeSet:
-    """Lagrange polynomials of the primary set in subspace coordinates.
-
-    Functions are ordered like ``iset.primary``.
-    """
-    coords = [basis.project_coords(y - iset.base) for y in iset.primary]
-    return lagrange_from_coords(np.array(coords))
+    return LagrangeSet(inv[0, :].copy(), inv[1:, :].T.copy())
 
 
 @dataclass(frozen=True)
@@ -426,19 +414,32 @@ def _ball_samples(p: int, delta: float, extra: int, seed: int) -> np.ndarray:
     return np.array(pts)
 
 
+def _certify(model, f_oracle, grad_oracle, hess_oracle, delta, samples, seed):
+    """Max model errors over the ball; the Hessian error only with its oracle.
+
+    The value, gradient and Hessian errors are divided by delta^(k+1),
+    delta^k and delta, with k = 1 without a Hessian oracle and k = 2 with one.
+    """
+    k = 1 if hess_oracle is None else 2
+    pts = _ball_samples(model.dim, delta, samples, seed)
+    p_mat = model.map
+    kef = keg = keh = 0.0
+    for s in pts:
+        x = model.base + p_mat @ s
+        kef = max(kef, abs(f_oracle(x) - model.value(s)) / delta ** (k + 1))
+        err_g = p_mat.T @ np.asarray(grad_oracle(x), float) - model.gradient_at(s)
+        keg = max(keg, float(np.linalg.norm(err_g)) / delta**k)
+        if hess_oracle is not None:
+            err_h = p_mat.T @ np.asarray(hess_oracle(x), float) @ p_mat - model.hessian
+            keh = max(keh, float(np.linalg.norm(err_h, 2)) / delta)
+    return ErrorCertificate(delta, kef, keg, None if hess_oracle is None else keh, len(pts))
+
+
 def certify_fully_linear(
     model: SubspaceModel, f_oracle, grad_oracle, delta: float, samples: int, seed: int
 ) -> ErrorCertificate:
     """Measure max |f - m| / delta^2 and max grad error / delta over the ball."""
-    pts = _ball_samples(model.dim, delta, samples, seed)
-    p_mat = model.map
-    kef = keg = 0.0
-    for s in pts:
-        x = model.base + p_mat @ s
-        kef = max(kef, abs(f_oracle(x) - model.value(s)) / delta**2)
-        err_g = p_mat.T @ np.asarray(grad_oracle(x), float) - model.gradient_at(s)
-        keg = max(keg, float(np.linalg.norm(err_g)) / delta)
-    return ErrorCertificate(delta, kef, keg, None, len(pts))
+    return _certify(model, f_oracle, grad_oracle, None, delta, samples, seed)
 
 
 def certify_fully_quadratic(
@@ -451,17 +452,7 @@ def certify_fully_quadratic(
     seed: int,
 ) -> ErrorCertificate:
     """As certify_fully_linear, with cubic/quadratic/linear error normalization."""
-    pts = _ball_samples(model.dim, delta, samples, seed)
-    p_mat = model.map
-    kef = keg = keh = 0.0
-    for s in pts:
-        x = model.base + p_mat @ s
-        kef = max(kef, abs(f_oracle(x) - model.value(s)) / delta**3)
-        err_g = p_mat.T @ np.asarray(grad_oracle(x), float) - model.gradient_at(s)
-        keg = max(keg, float(np.linalg.norm(err_g)) / delta**2)
-        err_h = p_mat.T @ np.asarray(hess_oracle(x), float) @ p_mat - model.hessian
-        keh = max(keh, float(np.linalg.norm(err_h, 2)) / delta)
-    return ErrorCertificate(delta, kef, keg, keh, len(pts))
+    return _certify(model, f_oracle, grad_oracle, hess_oracle, delta, samples, seed)
 
 
 def model_criticality(model: SubspaceModel):

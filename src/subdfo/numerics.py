@@ -56,13 +56,13 @@ class Basis:
         return self.columns @ coords
 
 
-def orthonormal_basis(vectors, tol: float = 1e-10) -> Basis:
+def orthonormal_basis(vectors) -> Basis:
     """Orthonormalize a collection of n-vectors, dropping dependent ones.
 
     Uses Householder QR with signs fixed so the result matches Gram-Schmidt
     orientation. A vector whose residual against the preceding ones falls
-    below ``tol`` times its input norm is dropped (and the factorization
-    redone without it). Raises EmptyBasisError when nothing survives.
+    below 1e-10 times its input norm is dropped (and the factorization redone
+    without it). Raises EmptyBasisError when nothing survives.
     """
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     if not vecs:
@@ -77,7 +77,7 @@ def orthonormal_basis(vectors, tol: float = 1e-10) -> Basis:
         q, r = np.linalg.qr(mat)
         diag = np.diag(r)
         ok = np.zeros(mat.shape[1], dtype=bool)
-        ok[: diag.size] = np.abs(diag) > tol * norms[: diag.size]
+        ok[: diag.size] = np.abs(diag) > 1e-10 * norms[: diag.size]
         if np.all(ok):
             signs = np.where(diag < 0, -1.0, 1.0)
             return Basis(q * signs)
@@ -85,7 +85,8 @@ def orthonormal_basis(vectors, tol: float = 1e-10) -> Basis:
     raise EmptyBasisError("all input vectors are numerically zero or dependent")
 
 
-def _check_symmetric(h: np.ndarray) -> np.ndarray:
+def check_symmetric(h: np.ndarray) -> np.ndarray:
+    """Symmetric part of a square matrix that is symmetric up to roundoff."""
     h = np.atleast_2d(np.asarray(h, dtype=float))
     if h.shape[0] != h.shape[1]:
         raise ContractViolationError("matrix must be square")
@@ -113,7 +114,7 @@ def min_eigenpair(h: np.ndarray):
 
     The eigenvector sign is normalized so its first nonzero entry is positive.
     """
-    hs = _check_symmetric(h)
+    hs = check_symmetric(h)
     w, v = np.linalg.eigh(hs)
     vec = lex_positive(v[:, 0])
     return float(w[0]), vec
@@ -123,26 +124,22 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
     """Solve the symmetric saddle-point system [[A, B^T], [B, 0]] z = rhs.
 
     ``a`` is the symmetric top-left block (m x m), ``b`` the coupling block
-    (k x m, possibly empty/None) and ``rhs`` the full right-hand side of
-    length m + k. Near-singular systems are retried once with a small
-    inertia-preserving ridge; anything worse raises SingularSystemError.
+    (k x m) and ``rhs`` the full right-hand side of length m + k.
+    Near-singular systems are retried once with a small inertia-preserving
+    ridge; anything worse raises SingularSystemError.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     m = a.shape[0]
     if a.shape[1] != m:
         raise ContractViolationError("A block must be square")
-    if b is None or np.size(b) == 0:
-        k = 0
-        kkt = a.copy()
-    else:
-        b = np.atleast_2d(np.asarray(b, dtype=float))
-        if b.shape[1] != m:
-            raise ContractViolationError("B block has inconsistent column count")
-        k = b.shape[0]
-        kkt = np.zeros((m + k, m + k))
-        kkt[:m, :m] = a
-        kkt[m:, :m] = b
-        kkt[:m, m:] = b.T
+    b = np.atleast_2d(np.asarray(b, dtype=float))
+    if b.shape[1] != m:
+        raise ContractViolationError("B block has inconsistent column count")
+    k = b.shape[0]
+    kkt = np.zeros((m + k, m + k))
+    kkt[:m, :m] = a
+    kkt[m:, :m] = b
+    kkt[:m, m:] = b.T
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (m + k,):
         raise ContractViolationError("rhs length inconsistent with blocks")

@@ -41,10 +41,6 @@ class Problem:
     def evals(self) -> int:
         return self._evals
 
-    def reset_evals(self):
-        with self._lock:
-            self._evals = 0
-
 
 @dataclass(frozen=True)
 class CriticalityReport:

@@ -38,14 +38,6 @@ class SketchMatrix:
             raise ContractViolationError(f"unknown sketch kind {self.kind!r}")
         object.__setattr__(self, "map", m)
 
-    @property
-    def n(self) -> int:
-        return self.map.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.map.shape[1]
-
 
 def _check_dims(n: int, p: int):
     if p < 1 or p > n:

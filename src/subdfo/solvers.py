@@ -241,25 +241,24 @@ def remove_single_point(
     """Demote the primary point scoring highest on the geometry criterion.
 
     Score: |Lagrange value at base + step| times max(dist^4 / delta^4, 1),
-    with distances measured from the base point, which is never demoted. If
-    the Lagrange basis is degenerate, falls back to the distance factor
-    alone. Ties go to the farthest point, then the lowest index. Returns the
+    with distances measured from the base point, which is never demoted. The
+    linear Lagrange basis exists only for ``basis.rank + 1`` affinely
+    independent points; otherwise the score is the distance factor alone.
+    Ties go to the farthest point, then the lowest index. Returns the
     demoted point.
     """
     if len(iset.primary) < 2:
         raise ContractViolationError("need at least two primary points")
     diffs = np.array(iset.primary) - iset.base
-    coords = diffs @ basis.columns
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    weights = np.maximum(dists**4 / delta**4, 1.0)
-
-    try:
-        lag = lagrange_from_coords(coords)
-        lvals = np.abs(lag.evaluate(basis.project_coords(np.asarray(tentative_step, float))))
-        scores = lvals * weights
-    except DegenerateGeometryError:
-        logger.debug("degenerate Lagrange set; falling back to distance-only removal")
-        scores = dists**4 / delta**4
+    scores = dists**4 / delta**4
+    if len(iset.primary) == basis.rank + 1:
+        try:
+            lag = lagrange_from_coords(diffs @ basis.columns)
+            lvals = np.abs(lag.evaluate(basis.project_coords(np.asarray(tentative_step, float))))
+            scores = lvals * np.maximum(scores, 1.0)
+        except DegenerateGeometryError:
+            logger.debug("degenerate Lagrange set; falling back to distance-only removal")
 
     candidates = [t for t in range(len(iset.primary)) if t != iset.base_index]
     smax = max(scores[t] for t in candidates)
@@ -300,7 +299,7 @@ def add_orthogonal_points(
     count: int,
     rng: np.random.Generator,
     objective: Callable,
-) -> list:
+):
     """Add ``count`` fresh primary points at distance ``delta_next`` from the base.
 
     Directions are mutually orthonormal and orthogonal to the span of the
@@ -311,7 +310,7 @@ def add_orthogonal_points(
     if count < 0:
         raise ContractViolationError("count must be nonnegative")
     if count == 0:
-        return []
+        return
     n = iset.base.shape[0]
     existing = [d for d in iset.primary_directions() if np.linalg.norm(d) > 0.0]
     span = orthonormal_basis(existing).columns if existing else np.zeros((n, 0))
@@ -336,14 +335,11 @@ def add_orthogonal_points(
     if filled < count:
         raise ContractViolationError("failed to draw orthogonal directions")
 
-    added = []
     for j in range(count):
         point = iset.base + delta_next * frame[:, j]
         val = objective(point)
         if math.isfinite(val):
             iset.add_primary(point, val)
-            added.append(point)
-    return added
 
 
 def _run_prototype(
@@ -539,10 +535,10 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                     # Full space: one point, scored at the tentative step,
                     # is demoted before the trial point joins.
                     remove_single_point(iset, basis, step, delta)
-                if math.isfinite(f_trial) and not iset.contains_primary(trial, 1e-14):
+                if math.isfinite(f_trial) and not iset.contains_primary(trial):
                     iset.add_primary(trial, f_trial)
-                    if accepted:
-                        iset.set_base(len(iset.primary) - 1)
+                    if accepted:  # the trial lies below the base, the minimum
+                        iset.recenter_to_best()
                 # Non-finite probes may have left fewer points than the
                 # heuristic asks to demote; the base always stays.
                 n_drop = pdrop_heuristic(ratio, p, full_space=(p == n))

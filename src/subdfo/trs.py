@@ -109,6 +109,8 @@ def _secular_root(c: np.ndarray, w: np.ndarray, lam_lo: float, delta: float) -> 
     ``c`` holds squared gradient components in the eigenbasis; the norm is
     strictly decreasing in lam, so a safeguarded Newton iteration on
     1/norm(lam) - 1/delta converges quickly from the bracketing interval.
+    Returns NaN when no finite bracket above ``lam_lo`` is representable,
+    which happens when g or H is huge relative to delta.
     """
     target = delta * delta
 
@@ -119,15 +121,17 @@ def _secular_root(c: np.ndarray, w: np.ndarray, lam_lo: float, delta: float) -> 
         return val if math.isfinite(val) else math.inf
 
     hi = lam_lo + max(1.0, math.sqrt(float(np.sum(c))) / delta)
-    while n2(hi) > target:
+    while lam_lo < hi < math.inf and n2(hi) > target:
         hi = lam_lo + 2.0 * (hi - lam_lo)
+    if not lam_lo < hi < math.inf:
+        return math.nan
     lo = lam_lo
     lam = hi
     for _ in range(100):
         d = w + lam
         n2v = float(np.sum(c / (d * d)))
         nv = math.sqrt(n2v)
-        if abs(nv - delta) <= 1e-13 * delta:
+        if abs(nv - delta) <= 1e-13 * delta or n2v * nv == 0.0:  # converged or underflowed
             break
         if nv > delta:
             lo = lam
@@ -183,13 +187,17 @@ def _exact_trs_eig(g: np.ndarray, w: np.ndarray, v: np.ndarray, delta: float) ->
     return v @ s
 
 
+# Huge models overflow; the non-finite decreases that result are dropped below.
+@np.errstate(over="ignore", invalid="ignore")
 def solve_trs(model: SubspaceModel, delta: float, mode: str = "first_order") -> TrsResult:
     """Approximate ball minimizer dominating the certified elementary steps.
 
     In first_order mode the result's decrease dominates the Cauchy step's;
     in second_order mode it dominates both the Cauchy and the
     negative-curvature step. The exact ball minimizer, from the model's
-    eigendecomposition, is kept only when it improves the decrease.
+    eigendecomposition, is kept only when it improves the decrease. Steps
+    whose decrease overflows are dropped; with no finite positive decrease
+    left, the step is zero.
     """
     if mode not in ("first_order", "second_order"):
         raise ContractViolationError(f"unknown TRS mode {mode!r}")
@@ -208,7 +216,8 @@ def solve_trs(model: SubspaceModel, delta: float, mode: str = "first_order") -> 
         candidates.append((refined, "refined"))
 
     results = [_result(model, delta, step, kind, gnorm, hnorm, tau) for step, kind in candidates]
-    best = max(results, key=lambda r: r.predicted_decrease, default=None)
+    finite = [r for r in results if math.isfinite(r.predicted_decrease)]
+    best = max(finite, key=lambda r: r.predicted_decrease, default=None)
     if best is None or best.predicted_decrease <= 0.0:
         return TrsResult(np.zeros(model.dim), 0.0, "cauchy", False, False)
     return best

@@ -9,13 +9,13 @@ from subdfo.exceptions import (
 from subdfo.interp import (
     InterpolationSet,
     SubspaceModel,
+    _dedup_coords,
     build_full_quadratic_model,
     build_mfn_model,
     certify_fully_linear,
     certify_fully_quadratic,
     full_quadratic_stencil,
     lagrange_from_coords,
-    linear_lagrange,
     model_criticality,
     n_quadratic_coeffs,
     project_secondary,
@@ -78,6 +78,32 @@ class TestProjectSecondary:
 
 def quadratic_on_line(x):
     return float(x[0] ** 2)
+
+
+class TestDedupCoords:
+    def test_greedy_chain_and_exact_duplicate(self):
+        # a ~ b ~ c within tol 1 but a is 1.6 from c: b goes as a near
+        # duplicate of a, and c stays because its only close point, b, is
+        # gone. The exact duplicate of a goes too.
+        a, b, c = [0.0, 0.0], [0.8, 0.0], [1.6, 0.0]
+        assert list(_dedup_coords(np.array([a, b, c, a]), 1.0)) == [0, 2]
+
+    def test_matches_the_plain_greedy_loop(self):
+        # Reference: visit every point in order, keep it unless a kept
+        # earlier point lies within tol.
+        def greedy(pts, tol):
+            keep = []
+            for j, y in enumerate(pts):
+                if all(np.linalg.norm(y - pts[i]) >= tol for i in keep):
+                    keep.append(j)
+            return keep
+
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            pts = rng.integers(0, 4, size=(int(rng.integers(1, 15)), 2)) * 0.5
+            pts = pts + rng.uniform(-0.1, 0.1, size=pts.shape)
+            for tol in (1e-10, 0.3, 0.7):
+                assert list(_dedup_coords(pts, tol)) == greedy(pts, tol)
 
 
 class TestBuildMfnModel:
@@ -262,7 +288,7 @@ class TestBuildMfnModel:
             iset.add_primary(pt, f(pt))
         iset.move_to_secondary(1)
         iset.move_to_secondary(1)
-        iset.set_base(2)  # base in the middle of the stored order
+        iset.base_index = 2  # base in the middle of the stored order
         basis = orthonormal_basis(iset.primary_directions())
         prev = SubspaceModel(None, basis.columns, 0.0, np.zeros(p), np.eye(p))
 
@@ -340,12 +366,6 @@ class TestLagrange:
         with pytest.raises(DegenerateGeometryError):
             lagrange_from_coords(np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]]))
 
-    def test_linear_lagrange_from_set(self):
-        basis = Basis(np.array([[1.0], [0.0]]))
-        iset = make_set([0.0, 0.0], 0.0, 1, 3, primary=[((2.0, 0.0), 1.0)])
-        lag = linear_lagrange(iset, basis)
-        assert lag.evaluate([1.0])[1] == pytest.approx(0.5, abs=1e-12)
-
     def test_cardinality_after_mutations(self):
         # Demote/replenish cycles must keep the primary set Lagrange-poised.
         from subdfo.solvers import add_orthogonal_points, remove_single_point
@@ -356,8 +376,8 @@ class TestLagrange:
         add_orthogonal_points(iset, 1.0, p, rng, lambda x: float(x @ x))
         for _ in range(5):
             basis = orthonormal_basis([y - iset.base for y in iset.primary[1:]])
-            lag = linear_lagrange(iset, basis)
-            coords = [basis.project_coords(y - iset.base) for y in iset.primary]
+            coords = np.array([basis.project_coords(y - iset.base) for y in iset.primary])
+            lag = lagrange_from_coords(coords)
             card = np.column_stack([lag.evaluate(s) for s in coords])
             assert np.max(np.abs(card - np.eye(len(coords)))) <= 1e-8
             remove_single_point(iset, basis, rng.standard_normal(n), 1.0)
@@ -376,6 +396,19 @@ class TestEvaluateModel:
     def test_asymmetric_hessian_rejected_at_construction(self):
         with pytest.raises(ContractViolationError):
             SubspaceModel(None, None, 0.0, np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_overflowed_coefficients_are_a_model_failure(self):
+        with pytest.raises(ModelConstructionError, match="must be finite"):
+            SubspaceModel(None, None, 0.0, np.array([np.inf, 0.0]), np.eye(2))
+
+    def test_failed_eigendecomposition_is_a_model_failure(self, monkeypatch):
+        def no_convergence(h):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        m = SubspaceModel(None, None, 0.0, np.zeros(2), np.eye(2))
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(ModelConstructionError, match="did not converge"):
+            m.eig
 
 
 def _quadratic_problem(n, seed):

@@ -18,7 +18,7 @@ class TestOrthonormalBasis:
         assert np.allclose(b.columns, np.column_stack([e1, e2]), atol=1e-14)
 
     def test_dependent_column_dropped(self):
-        b = orthonormal_basis([[1.0, 0.0], [1.0, 1e-15]], tol=1e-10)
+        b = orthonormal_basis([[1.0, 0.0], [1.0, 1e-15]])
         assert b.rank == 1
         assert np.allclose(b.columns[:, 0], [1.0, 0.0], atol=1e-14)
 
@@ -109,11 +109,6 @@ class TestMinEigenpair:
 
 
 class TestSolveSaddleSystem:
-    def test_identity_no_coupling(self):
-        b = np.array([3.0, -1.0, 2.0])
-        x = solve_saddle_system(np.eye(3), None, b)
-        assert np.allclose(x, b, atol=1e-12)
-
     def test_two_by_two_saddle(self):
         # [[0,1],[1,0]] x = (1,2) gives x = (2,1) by hand.
         x = solve_saddle_system(np.zeros((1, 1)), np.array([[1.0]]), np.array([1.0, 2.0]))
@@ -121,22 +116,21 @@ class TestSolveSaddleSystem:
 
     def test_singular_raises_with_condition(self):
         with pytest.raises(SingularSystemError, match="2x2 saddle system singular"):
-            solve_saddle_system(np.zeros((2, 2)), None, np.array([1.0, 1.0]))
+            solve_saddle_system(np.zeros((1, 1)), np.zeros((1, 1)), np.array([1.0, 1.0]))
 
     def test_random_residual_contract(self):
         rng = np.random.default_rng(11)
         for _ in range(30):
             m = rng.integers(1, 8)
-            k = rng.integers(0, m + 1)
+            k = rng.integers(1, m + 1)
             a = rng.standard_normal((m, m))
             a = a + a.T + 2 * m * np.eye(m)
-            b = rng.standard_normal((k, m)) if k else None
+            b = rng.standard_normal((k, m))
             rhs = rng.standard_normal(m + k)
             sol = solve_saddle_system(a, b, rhs)
             kkt = np.zeros((m + k, m + k))
             kkt[:m, :m] = a
-            if k:
-                kkt[m:, :m] = b
-                kkt[:m, m:] = b.T
+            kkt[m:, :m] = b
+            kkt[:m, m:] = b.T
             res = np.linalg.norm(kkt @ sol - rhs)
             assert res <= 1e-9 * max(1.0, np.linalg.norm(rhs))

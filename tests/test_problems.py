@@ -98,8 +98,6 @@ class TestOracles:
         for _ in range(17):
             p.objective(p.x0)
         assert p.evals == 17
-        p.reset_evals()
-        assert p.evals == 0
 
 
 class TestTrueCriticality:

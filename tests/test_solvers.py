@@ -1,5 +1,6 @@
 import logging
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -120,6 +121,21 @@ class TestRemoveSinglePoint:
         removed = remove_single_point(iset, basis, np.array([0.0]), 1.0)
         assert removed[0] == 2.0
 
+    def test_no_lagrange_basis_without_rank_plus_one_points(self, monkeypatch):
+        # Four points in a 2-D subspace: no linear Lagrange basis exists, so
+        # it is not built and the farthest point goes on distance alone.
+        calls = []
+        real = solvers_mod.lagrange_from_coords
+        monkeypatch.setattr(
+            solvers_mod, "lagrange_from_coords", lambda c: calls.append(c) or real(c)
+        )
+        iset = InterpolationSet(np.zeros(2), 0.0, 2, 6)
+        for pt in ([1.0, 0.0], [0.0, 1.0], [3.0, 0.0]):
+            iset.add_primary(np.array(pt), 1.0)
+        removed = remove_single_point(iset, Basis(np.eye(2)), np.zeros(2), 1.0)
+        assert np.array_equal(removed, [3.0, 0.0])
+        assert calls == []
+
 
 class TestRemoveMultiplePoints:
     def test_count_zero_noop(self):
@@ -234,6 +250,31 @@ def test_run_lifecycle_ends_every_run_with_a_record(solver, monkeypatch, caplog)
     assert rec.total_evals == prob.evals > 1
     assert rec.trace[0] == (1, prob.raw_objective(prob.x0))
     assert warnings() == ["run aborted: injected model failure"]
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("run did not return within its alarm")
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e200])
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_overflowing_objective_ends_with_a_record(solver, scale):
+    # f = scale * ||x||^2 overflows its models; every run must still end
+    # with a documented termination instead of hanging or raising.
+    def f(x):
+        return scale * float(x @ x)
+
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(120)
+    try:
+        for seed in range(10):
+            prob = Problem("scaled_sphere", 10, f, None, None, np.ones(10), 0.0)
+            rec = SOLVERS[solver](prob, SolverConfig(p=3, seed=seed, max_evals=300))
+            assert rec.termination in TERMINATIONS, seed
+            assert rec.total_evals == prob.evals <= 300
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestRunRsdfo:

@@ -1,5 +1,10 @@
+import math
+import signal
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subdfo.exceptions import ContractViolationError
 from subdfo.interp import SubspaceModel
@@ -213,6 +218,49 @@ class TestSolveTrs:
             assert np.linalg.norm(h @ s + lam * s + g) <= 1e-10 * np.linalg.norm(g), shift
             assert np.linalg.eigvalsh(h + lam * np.eye(p))[0] >= -1e-10, shift
         assert np.linalg.eigvalsh(h)[0] < 0.0  # the second case is indefinite
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        g_exp=st.floats(0.0, 300.0),
+        h_exp=st.floats(0.0, 300.0),
+        delta=st.floats(1e-3, 1e3),
+        mode=st.sampled_from(["first_order", "second_order"]),
+    )
+    @example(seed=0, p=3, g_exp=300.0, h_exp=0.0, delta=1.0, mode="second_order")
+    @example(seed=0, p=3, g_exp=0.0, h_exp=20.0, delta=1.0, mode="second_order")
+    def test_returns_for_huge_finite_models(self, seed, p, g_exp, h_exp, delta, mode):
+        # g or H up to 1e300: squares of g overflow, and H + lam I cannot
+        # be shifted by the gradient's scale. The solve must still return
+        # a step in the ball with a finite, nonnegative decrease.
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((p, p))
+        m = model(10.0**g_exp * rng.standard_normal(p), 10.0**h_exp * (a + a.T))
+
+        def timed_out(signum, frame):
+            raise TimeoutError("solve_trs did not return")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(10)
+        try:
+            res = solve_trs(m, delta, mode)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert np.all(np.isfinite(res.step))
+        assert np.linalg.norm(res.step) <= delta * (1 + 1e-12)
+        assert math.isfinite(res.predicted_decrease)
+        assert res.predicted_decrease >= 0.0
+
+    def test_tiny_radius_returns(self):
+        # At delta <= 1e-120 the secular Newton step's n2 * n underflows to
+        # zero; the solve must stop there instead of dividing by it.
+        m = model([1.0, 5.0], np.diag([-1.0, 2.0]))
+        for delta in (1e-120, 1e-200):
+            res = solve_trs(m, delta, "second_order")
+            assert np.all(np.isfinite(res.step))
+            assert 0.0 < res.predicted_decrease < math.inf
 
 
 class TestDecreaseRatio:
