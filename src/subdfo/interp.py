@@ -31,12 +31,52 @@ KKT_RESIDUAL_TOL = 1e-8  # optimality certificate for the MFN solve
 LAGRANGE_TOL = 1e-8  # cardinality-condition tolerance
 
 
+class _RowStack:
+    """Rows of a (len, n) array kept contiguous, in insertion order.
+
+    Rows live in a preallocated buffer: appending copies the row in, popping
+    the first row only moves the start, and the buffer is compacted or
+    doubled when the end is reached.
+    """
+
+    def __init__(self, n: int, capacity: int):
+        self._buf = np.empty((max(capacity, 1), n))
+        self._start = self._stop = 0
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The rows as one C-contiguous array, aliasing the buffer."""
+        return self._buf[self._start : self._stop]
+
+    def append(self, row):
+        if self._stop == len(self._buf):
+            rows = self.rows
+            if self._start == 0:
+                self._buf = np.empty((2 * len(self._buf), self._buf.shape[1]))
+            self._buf[: len(rows)] = rows
+            self._start, self._stop = 0, len(rows)
+        self._buf[self._stop] = row
+        self._stop += 1
+
+    def pop(self, index: int):
+        if index == 0:
+            self._start += 1
+        else:
+            i = self._start + index
+            self._buf[i : self._stop - 1] = self._buf[i + 1 : self._stop]
+            self._stop -= 1
+
+
 class InterpolationSet:
     """Primary and secondary interpolation points with cached values.
 
     The primary set always contains the base point (current iterate); the
     secondary set holds up to ``q - p - 1`` previously demoted points in
     demotion order, so the oldest is discarded first on overflow.
+
+    ``primary`` and ``secondary`` are (len, n) arrays whose rows are the
+    points in stored order. They alias the set's storage, so they are valid
+    only until the set next changes; ``base`` is a copy.
     """
 
     def __init__(self, base, base_value: float, p: int, q: int):
@@ -44,15 +84,25 @@ class InterpolationSet:
             raise ContractViolationError("need q >= p + 1")
         self.p = int(p)
         self.q = int(q)
-        self.primary = [np.asarray(base, dtype=float)]
+        base = np.asarray(base, dtype=float)
+        self._primary = _RowStack(base.shape[0], self.p + 2)
+        self._primary.append(base)
         self.primary_values = [float(base_value)]
         self.base_index = 0
-        self.secondary = []
+        self._secondary = _RowStack(base.shape[0], 2 * self.secondary_capacity)
         self.secondary_values = []
 
     @property
+    def primary(self) -> np.ndarray:
+        return self._primary.rows
+
+    @property
+    def secondary(self) -> np.ndarray:
+        return self._secondary.rows
+
+    @property
     def base(self) -> np.ndarray:
-        return self.primary[self.base_index]
+        return self.primary[self.base_index].copy()
 
     @property
     def base_value(self) -> float:
@@ -63,41 +113,40 @@ class InterpolationSet:
         return max(0, self.q - self.p - 1)
 
     def add_primary(self, point, value: float):
-        self.primary.append(np.asarray(point, dtype=float))
+        self._primary.append(point)
         self.primary_values.append(float(value))
 
     def contains_primary(self, point) -> bool:
         """Whether a primary point lies within 1e-14 max(1, ||point||) of ``point``."""
         point = np.asarray(point, dtype=float)
         scale = max(1.0, float(np.linalg.norm(point)))
-        diffs = np.array(self.primary) - point
+        diffs = self.primary - point
         return bool(np.min(np.einsum("ij,ij->i", diffs, diffs)) <= (1e-14 * scale) ** 2)
 
     def move_to_secondary(self, index: int):
         """Demote primary point ``index`` to the secondary set (never the base)."""
         if index == self.base_index:
             raise ContractViolationError("cannot demote the base point")
-        point = self.primary.pop(index)
-        value = self.primary_values.pop(index)
+        self._secondary.append(self.primary[index])
+        self.secondary_values.append(self.primary_values.pop(index))
+        self._primary.pop(index)
         if index < self.base_index:
             self.base_index -= 1
-        self.secondary.append(point)
-        self.secondary_values.append(value)
-        while len(self.secondary) > self.secondary_capacity:
-            self.secondary.pop(0)
+        while len(self.secondary_values) > self.secondary_capacity:
+            self._secondary.pop(0)
             self.secondary_values.pop(0)
 
     def recenter_to_best(self):
         """Move the base marker to the primary point with smallest value."""
         self.base_index = int(np.argmin(self.primary_values))
 
-    def primary_directions(self) -> list:
-        """Offsets of the non-base primary points from the base."""
-        return [
-            y - self.base
-            for i, y in enumerate(self.primary)
-            if i != self.base_index
-        ]
+    def primary_directions(self) -> np.ndarray:
+        """Offsets of the non-base primary points from the base, one per row."""
+        pts, b = self.primary, self.base_index
+        out = np.empty((len(pts) - 1, pts.shape[1]))
+        np.subtract(pts[:b], pts[b], out=out[:b])
+        np.subtract(pts[b + 1 :], pts[b], out=out[b:])
+        return out
 
 
 @dataclass
@@ -156,9 +205,9 @@ class SubspaceModel:
 
 def project_secondary(iset: InterpolationSet, basis: Basis):
     """Subspace coordinates Q^T (y - base) and cached values of secondary points."""
-    if not iset.secondary:
+    if not len(iset.secondary):
         return []
-    coords = (np.array(iset.secondary) - iset.base) @ basis.columns
+    coords = (iset.secondary - iset.base) @ basis.columns
     return list(zip(coords, iset.secondary_values))
 
 
@@ -170,8 +219,10 @@ def _dedup_coords(coords, tol: float):
     can be dropped, so only those are visited.
     """
     pts = np.atleast_2d(np.asarray(coords))
-    diff = pts[:, None, :] - pts[None, :, :]
-    close = np.tril(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) < tol, -1)
+    lower = np.tril_indices(len(pts), -1)
+    diff = np.take(pts, lower[0], axis=0) - np.take(pts, lower[1], axis=0)
+    close = np.zeros((len(pts), len(pts)), dtype=bool)
+    close[lower] = np.sqrt(np.einsum("ij,ij->i", diff, diff)) < tol
     keep = np.ones(len(pts), dtype=bool)
     for j in np.flatnonzero(close.any(axis=1)):
         keep[j] = not np.any(close[j] & keep)
@@ -206,13 +257,17 @@ def build_mfn_model(
     """
     q_mat = basis.columns
     r = basis.rank
-    order = list(range(len(iset.primary)))
-    if not use_secondary:
+    base = iset.base
+    if use_secondary:
+        coords = (iset.primary - base) @ q_mat
+        values = list(iset.primary_values)
+    else:
+        order = list(range(len(iset.primary)))
         order.insert(0, order.pop(iset.base_index))
-    coords = (np.array([iset.primary[i] for i in order]) - iset.base) @ q_mat
-    values = [iset.primary_values[i] for i in order]
-    if use_secondary and iset.secondary:
-        diffs = np.array(iset.secondary) - iset.base
+        coords = (iset.primary[order] - base) @ q_mat
+        values = [iset.primary_values[i] for i in order]
+    if use_secondary and len(iset.secondary):
+        diffs = iset.secondary - base
         sec = diffs @ q_mat
         if max_residual is not None:
             res2 = np.einsum("ij,ij->i", diffs, diffs) - np.einsum("ij,ij->i", sec, sec)
@@ -276,9 +331,7 @@ def build_mfn_model(
     if kkt_res > KKT_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
         raise ModelConstructionError(f"MFN KKT residual {kkt_res:.3e} too large")
 
-    model = SubspaceModel(
-        iset.base, q_mat, const, grad_s / dbar, h_s / dbar**2
-    )
+    model = SubspaceModel(base, q_mat, const, grad_s / dbar, h_s / dbar**2)
     vals = np.asarray(values)
     pred = const + u @ grad_s + 0.5 * np.einsum("ij,jk,ik->i", u, h_s, u)
     if np.any(np.abs(pred - vals) > INTERP_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))):

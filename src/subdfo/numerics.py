@@ -57,31 +57,41 @@ class Basis:
 
 
 def orthonormal_basis(vectors) -> Basis:
-    """Orthonormalize a collection of n-vectors, dropping dependent ones.
+    """Orthonormalize a sequence of n-vectors, dropping dependent ones.
 
-    Uses Householder QR with signs fixed so the result matches Gram-Schmidt
-    orientation. A vector whose residual against the preceding ones falls
-    below 1e-10 times its input norm is dropped (and the factorization redone
-    without it). Raises EmptyBasisError when nothing survives.
+    ``vectors`` is a list of n-vectors or a (k, n) array whose rows are the
+    vectors. Uses Householder QR with signs fixed so the result matches
+    Gram-Schmidt orientation. A vector whose residual against the preceding
+    ones falls below 1e-10 times its input norm is dropped (and the
+    factorization redone without it). Raises EmptyBasisError when nothing
+    survives.
+
+    Bit contract: the factorization is LAPACK ``geqrf``/``orgqr`` on a
+    Fortran-order copy of the n x k matrix (``scipy.linalg.qr``, economic
+    mode), which gives the same bits as ``np.linalg.qr``, and the sign-fixed
+    Q is returned in C order. The memory order of Q decides the bits of every
+    later product with it, so solver records depend on both choices.
     """
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    if not vecs:
+    rows = np.asarray(vectors, dtype=float)
+    if len(rows) == 0:
         raise EmptyBasisError("no input vectors")
-    mat = np.column_stack(vecs)
-    if not np.all(np.isfinite(mat)):
+    if not np.all(np.isfinite(rows)):
         raise ContractViolationError("input vectors must be finite")
-    norms = np.sqrt(np.einsum("ij,ij->j", mat, mat))
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     live = norms > 0.0
-    mat, norms = mat[:, live], norms[live]
-    while mat.shape[1] > 0:
-        q, r = np.linalg.qr(mat)
+    if not np.all(live):
+        rows, norms = rows[live], norms[live]
+    while len(rows) > 0:
+        q, r = scipy.linalg.qr(
+            rows.T.copy(order="F"), mode="economic", overwrite_a=True, check_finite=False
+        )
         diag = np.diag(r)
-        ok = np.zeros(mat.shape[1], dtype=bool)
+        ok = np.zeros(len(rows), dtype=bool)
         ok[: diag.size] = np.abs(diag) > 1e-10 * norms[: diag.size]
         if np.all(ok):
             signs = np.where(diag < 0, -1.0, 1.0)
-            return Basis(q * signs)
-        mat, norms = mat[:, ok], norms[ok]
+            return Basis(np.multiply(q, signs, order="C"))
+        rows, norms = rows[ok], norms[ok]
     raise EmptyBasisError("all input vectors are numerically zero or dependent")
 
 

@@ -249,7 +249,7 @@ def remove_single_point(
     """
     if len(iset.primary) < 2:
         raise ContractViolationError("need at least two primary points")
-    diffs = np.array(iset.primary) - iset.base
+    diffs = iset.primary - iset.base
     dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
     scores = dists**4 / delta**4
     if len(iset.primary) == basis.rank + 1:
@@ -268,7 +268,7 @@ def remove_single_point(
     tol_d = 1e-12 * max(1.0, abs(dmax))
     pick = min(t for t in tied if dists[t] >= dmax - tol_d)
 
-    removed = iset.primary[pick]
+    removed = iset.primary[pick].copy()
     iset.move_to_secondary(pick)
     return removed
 
@@ -311,9 +311,13 @@ def add_orthogonal_points(
         raise ContractViolationError("count must be nonnegative")
     if count == 0:
         return
-    n = iset.base.shape[0]
-    existing = [d for d in iset.primary_directions() if np.linalg.norm(d) > 0.0]
-    span = orthonormal_basis(existing).columns if existing else np.zeros((n, 0))
+    dirs = iset.primary_directions()
+    n = dirs.shape[1]
+    # orthonormal_basis drops zero rows itself; it only needs one nonzero row.
+    if np.any(np.einsum("ij,ij->i", dirs, dirs) > 0.0):
+        span = orthonormal_basis(dirs).columns
+    else:
+        span = np.zeros((n, 0))
     if span.shape[1] + count > n:
         raise ContractViolationError(
             "subspace span already full-dimensional; cannot add orthogonal directions"
@@ -335,8 +339,9 @@ def add_orthogonal_points(
     if filled < count:
         raise ContractViolationError("failed to draw orthogonal directions")
 
+    base = iset.base
     for j in range(count):
-        point = iset.base + delta_next * frame[:, j]
+        point = base + delta_next * frame[:, j]
         val = objective(point)
         if math.isfinite(val):
             iset.add_primary(point, val)

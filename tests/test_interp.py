@@ -55,6 +55,102 @@ class TestInterpolationSet:
         assert iset.base_value == 2.0
 
 
+class _ListSet:
+    """The list-based point storage the stacked InterpolationSet must match."""
+
+    def __init__(self, base, base_value, p, q):
+        self.capacity = max(0, q - p - 1)
+        self.primary = [np.asarray(base, dtype=float)]
+        self.primary_values = [float(base_value)]
+        self.base_index = 0
+        self.secondary = []
+        self.secondary_values = []
+
+    def add_primary(self, point, value):
+        self.primary.append(np.asarray(point, dtype=float))
+        self.primary_values.append(float(value))
+
+    def move_to_secondary(self, index):
+        point = self.primary.pop(index)
+        value = self.primary_values.pop(index)
+        if index < self.base_index:
+            self.base_index -= 1
+        self.secondary.append(point)
+        self.secondary_values.append(value)
+        while len(self.secondary) > self.capacity:
+            self.secondary.pop(0)
+            self.secondary_values.pop(0)
+
+    def recenter_to_best(self):
+        self.base_index = int(np.argmin(self.primary_values))
+
+    def primary_directions(self):
+        base = self.primary[self.base_index]
+        return [y - base for i, y in enumerate(self.primary) if i != self.base_index]
+
+
+class TestStackedStorage:
+    @staticmethod
+    def _assert_same(iset, ref):
+        n = iset.base.shape[0]
+        assert np.array_equal(iset.primary, np.array(ref.primary))
+        assert np.array_equal(iset.secondary, np.array(ref.secondary).reshape(-1, n))
+        assert iset.primary.flags.c_contiguous and iset.secondary.flags.c_contiguous
+        assert iset.primary_values == ref.primary_values
+        assert iset.secondary_values == ref.secondary_values
+        assert iset.base_index == ref.base_index
+        assert np.array_equal(iset.base, ref.primary[ref.base_index])
+        dirs = np.array(ref.primary_directions()).reshape(-1, n)
+        assert np.array_equal(iset.primary_directions(), dirs)
+
+    @pytest.mark.parametrize("p, q", [(3, 9), (2, 3), (4, 15)])
+    def test_scripted_steps_match_list_storage(self, p, q):
+        # Adds (beyond the preallocated rows), demotions on both sides of the
+        # base, secondary overflow and recentring, checked after every step.
+        n = 7
+        rng = np.random.default_rng(p * 100 + q)
+        base = rng.standard_normal(n)
+        iset = InterpolationSet(base, 0.5, p, q)
+        ref = _ListSet(base, 0.5, p, q)
+        self._assert_same(iset, ref)
+
+        def add():
+            pt, val = rng.standard_normal(n), float(rng.standard_normal())
+            iset.add_primary(pt, val)
+            ref.add_primary(pt, val)
+
+        for _ in range(p + 3):
+            add()
+            self._assert_same(iset, ref)
+        for step in range(200):
+            kind = step % 5
+            if kind in (0, 1):
+                add()
+            elif kind in (2, 3) and len(ref.primary) > 1:
+                choices = [i for i in range(len(ref.primary)) if i != ref.base_index]
+                index = choices[0] if kind == 2 else int(rng.choice(choices))
+                iset.move_to_secondary(index)
+                ref.move_to_secondary(index)
+            else:
+                iset.recenter_to_best()
+                ref.recenter_to_best()
+            self._assert_same(iset, ref)
+            assert len(iset.secondary) <= iset.secondary_capacity
+        # The acceptance tests read the values as lists.
+        vals = list(iset.primary_values)
+        vals += iset.secondary_values
+        assert vals == ref.primary_values + ref.secondary_values
+
+    def test_base_and_copied_rows_outlive_a_change(self):
+        iset = make_set([0.0, 0.0], 1.0, 2, 5, primary=[((1.0, 0.0), 2.0), ((0.0, 1.0), 3.0)])
+        base = iset.base
+        first = iset.primary[1].copy()
+        iset.move_to_secondary(1)
+        assert np.array_equal(iset.secondary[-1], first)
+        assert np.array_equal(base, [0.0, 0.0])
+        assert [list(y) for y in iset.primary] == [[0.0, 0.0], [0.0, 1.0]]
+
+
 class TestProjectSecondary:
     def test_in_subspace_point_recovers_coordinates(self):
         basis = Basis(np.array([[1.0], [0.0]]))
@@ -104,6 +200,27 @@ class TestDedupCoords:
             pts = pts + rng.uniform(-0.1, 0.1, size=pts.shape)
             for tol in (1e-10, 0.3, 0.7):
                 assert list(_dedup_coords(pts, tol)) == greedy(pts, tol)
+
+    def test_close_matrix_matches_the_full_distance_tensor(self):
+        # The lower-triangle distances reduce each pair as the full m x m
+        # tensor did, so the same points are dropped even at tol equal to a
+        # pair distance.
+        def full_tensor(pts, tol):
+            diff = pts[:, None, :] - pts[None, :, :]
+            close = np.tril(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)) < tol, -1)
+            keep = np.ones(len(pts), dtype=bool)
+            for j in np.flatnonzero(close.any(axis=1)):
+                keep[j] = not np.any(close[j] & keep)
+            return list(np.flatnonzero(keep))
+
+        rng = np.random.default_rng(11)
+        for m, r in ((101, 50), (40, 12), (3, 1)):
+            pts = rng.standard_normal((m, r)) * 1e-3
+            pts[m // 2] = pts[0] + 1e-13
+            lower = np.tril_indices(m, -1)
+            dist = np.linalg.norm(pts[lower[0]] - pts[lower[1]], axis=1)
+            for tol in (1e-10, float(np.median(dist)), float(np.sort(dist)[1])):
+                assert list(_dedup_coords(pts, tol)) == full_tensor(pts, tol), (m, tol)
 
 
 class TestBuildMfnModel:

@@ -55,6 +55,65 @@ class TestOrthonormalBasis:
                 assert err <= 1e-8 * np.linalg.norm(v)
 
 
+def _reference_basis(vectors):
+    """np.linalg.qr on the stacked columns, with the same drop rule and sign fix."""
+    mat = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+    norms = np.sqrt(np.einsum("ij,ij->j", mat, mat))
+    mat, norms = mat[:, norms > 0.0], norms[norms > 0.0]
+    while True:
+        q, r = np.linalg.qr(mat)
+        diag = np.diag(r)
+        ok = np.zeros(mat.shape[1], dtype=bool)
+        ok[: diag.size] = np.abs(diag) > 1e-10 * norms[: diag.size]
+        if np.all(ok):
+            return q * np.where(diag < 0, -1.0, 1.0)
+        mat, norms = mat[:, ok], norms[ok]
+
+
+class TestOrthonormalBasisBits:
+    """The LAPACK path gives the bits of np.linalg.qr, as a C-order Q."""
+
+    @staticmethod
+    def _vectors(rng, n, k):
+        scales = 10.0 ** rng.uniform(-8.0, 2.0, size=k)
+        return rng.standard_normal((k, n)) * scales[:, None]
+
+    def _assert_bit_equal(self, rows):
+        ref = _reference_basis(list(rows))
+        for arg in (list(rows), np.asarray(rows)):
+            q = orthonormal_basis(arg).columns
+            assert q.flags.c_contiguous
+            assert q.shape == ref.shape
+            assert np.array_equal(q, ref)
+
+    @pytest.mark.parametrize("n, k", [(2000, 50), (100, 25), (12, 12)])
+    def test_random_shapes(self, n, k):
+        rng = np.random.default_rng(n + k)
+        for _ in range(3):
+            self._assert_bit_equal(self._vectors(rng, n, k))
+
+    @pytest.mark.parametrize("n, k", [(2000, 50), (100, 25), (12, 12)])
+    def test_zero_and_dependent_vectors(self, n, k):
+        rng = np.random.default_rng(7 * n + k)
+        rows = self._vectors(rng, n, k)
+        rows[1] = 0.0
+        rows[k // 2] = rows[0] - 2.0 * rows[2]
+        rows[-1] = rows[3] * (1.0 + 1e-15)
+        q = orthonormal_basis(rows).columns
+        assert q.shape == (n, k - 3)
+        self._assert_bit_equal(rows)
+
+    def test_more_vectors_than_dimensions(self):
+        self._assert_bit_equal(self._vectors(np.random.default_rng(5), 12, 15))
+
+    def test_input_is_not_modified(self):
+        rows = self._vectors(np.random.default_rng(9), 100, 25)
+        rows[3] = rows[4]  # forces a second factorization
+        before = rows.copy()
+        orthonormal_basis(rows)
+        assert np.array_equal(rows, before)
+
+
 class TestBasisType:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(ContractViolationError):

@@ -489,7 +489,8 @@ class TestRunRsdfoq:
 
         def probe(iset, basis, prev=None, **kwargs):
             seen.append((len(iset.primary), len(iset.secondary)))
-            assert any(y is iset.base for y in iset.primary)
+            base = iset.base
+            assert any(np.array_equal(y, base) for y in iset.primary)
             return real_build(iset, basis, prev=prev, **kwargs)
 
         monkeypatch.setattr(solvers_mod, "build_mfn_model", probe)
@@ -524,6 +525,33 @@ class TestRunRsdfoq:
             run(make_problem("chained_rosenbrock", 20), cfg, log_cb=logs.append)
             assert len(logs) > 20, run.__name__
             assert calls <= len(logs) + 1, (run.__name__, calls, len(logs))
+
+    def test_at_most_two_qr_factorizations_per_iteration(self, monkeypatch):
+        # One basis per iteration and one for the directions added to it,
+        # all through scipy.linalg.qr; np.linalg.qr is not used.
+        import scipy.linalg
+
+        real_qr = scipy.linalg.qr
+        calls = 0
+
+        def counting_qr(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real_qr(*args, **kwargs)
+
+        def forbidden_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "qr", forbidden_qr)
+        for n, p, q in ((20, 5, 11), (30, 8, 20), (6, 6, 28)):
+            calls = 0
+            starts = []
+            prob = make_problem("chained_rosenbrock", n)
+            cfg = SolverConfig(p=p, q=q, seed=3, max_evals=400)
+            run_rsdfoq(prob, cfg, iterate_hook=lambda k, x: starts.append(k))
+            assert len(starts) > 20, (n, p)
+            assert len(starts) <= calls <= 2 * len(starts) + 1, (n, p, calls)
 
     def test_inf_outside_small_ball_returns_record(self):
         # f = ||x||^2 inside ||x - 1|| < 0.15 and inf outside: orthogonal
