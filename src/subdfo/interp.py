@@ -14,6 +14,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import (
     ContractViolationError,
@@ -21,7 +22,7 @@ from .exceptions import (
     ModelConstructionError,
     SingularSystemError,
 )
-from .numerics import Basis, check_symmetric, solve_saddle_system
+from .numerics import BASIS_ORTHO_TOL, Basis, check_symmetric, solve_saddle_system
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -67,6 +68,21 @@ class _RowStack:
             self._stop -= 1
 
 
+@dataclass
+class _Factor:
+    """Economic QR factor ``q @ r`` of primary offsets from ``base``.
+
+    Column j of ``q @ r`` is the offset of the primary point with id
+    ``ids[j]``; ``base`` is a copy of the point with id ``base_id``.
+    """
+
+    q: np.ndarray
+    r: np.ndarray
+    ids: list
+    base_id: int
+    base: np.ndarray
+
+
 class InterpolationSet:
     """Primary and secondary interpolation points with cached values.
 
@@ -77,6 +93,10 @@ class InterpolationSet:
     ``primary`` and ``secondary`` are (len, n) arrays whose rows are the
     points in stored order. They alias the set's storage, so they are valid
     only until the set next changes; ``base`` is a copy.
+
+    The set can hold a QR factor of its primary directions (see
+    ``updated_basis`` and ``hold_basis``). Changes to the primary set are
+    applied to it only when it is next read.
     """
 
     def __init__(self, base, base_value: float, p: int, q: int):
@@ -91,6 +111,11 @@ class InterpolationSet:
         self.base_index = 0
         self._secondary = _RowStack(base.shape[0], 2 * self.secondary_capacity)
         self.secondary_values = []
+        # A distinct id per primary point, in stored order; the held factor
+        # names its columns by these ids.
+        self._ids = [0]
+        self._next_id = 1
+        self._factor: Optional[_Factor] = None
 
     @property
     def primary(self) -> np.ndarray:
@@ -115,6 +140,8 @@ class InterpolationSet:
     def add_primary(self, point, value: float):
         self._primary.append(point)
         self.primary_values.append(float(value))
+        self._ids.append(self._next_id)
+        self._next_id += 1
 
     def contains_primary(self, point) -> bool:
         """Whether a primary point lies within 1e-14 max(1, ||point||) of ``point``."""
@@ -130,6 +157,7 @@ class InterpolationSet:
         self._secondary.append(self.primary[index])
         self.secondary_values.append(self.primary_values.pop(index))
         self._primary.pop(index)
+        del self._ids[index]
         if index < self.base_index:
             self.base_index -= 1
         while len(self.secondary_values) > self.secondary_capacity:
@@ -147,6 +175,95 @@ class InterpolationSet:
         np.subtract(pts[:b], pts[b], out=out[:b])
         np.subtract(pts[b + 1 :], pts[b], out=out[b:])
         return out
+
+    def hold_basis(self, basis: Basis) -> Basis:
+        """Hold the factor of a fresh ``orthonormal_basis(primary_directions())``.
+
+        R is read off as the upper triangle of Q^T D. A basis that dropped a
+        dependent direction is not held, so the next read refactors again.
+        """
+        dirs = self.primary_directions()
+        if basis.rank == len(dirs):
+            q = basis.columns
+            ids = self._ids[: self.base_index] + self._ids[self.base_index + 1 :]
+            base_id = self._ids[self.base_index]
+            self._factor = _Factor(q, np.triu(q.T @ dirs.T), ids, base_id, self.base)
+        return basis
+
+    def updated_basis(self) -> Optional[Basis]:
+        """Basis of the held factor after the changes since it was last read.
+
+        Points that left the primary set are deleted from it first, then the
+        new points are inserted, and a moved base is one rank-one update.
+        Returns None, and drops the factor, when there is none, when no held
+        column is left to update, when there are more directions than
+        dimensions, when a direction is dependent (SciPy rejects it, or it
+        fails the drop rule of ``orthonormal_basis``: |r_jj| <= 1e-10
+        ||d_j||), or when max |Q^T Q - I| exceeds half of BASIS_ORTHO_TOL.
+        The caller then refactors from scratch and calls ``hold_basis``.
+        """
+        f, self._factor = self._factor, None
+        if f is None:
+            return None
+        try:
+            if not self._update(f):
+                return None
+            basis = Basis(f.q)
+        except (np.linalg.LinAlgError, ContractViolationError):
+            return None
+        col_norms = np.sqrt(np.einsum("ij,ij->j", f.r, f.r))
+        if np.any(np.abs(np.diag(f.r)) <= 1e-10 * col_norms):
+            return None
+        if basis.gram_error > 0.5 * BASIS_ORTHO_TOL:
+            return None
+        self._factor = f
+        return basis
+
+    def _update(self, f: _Factor) -> bool:
+        """Apply the pending changes to ``f``; False when that is not possible."""
+        ids = self._ids
+        live = set(ids)
+        base_id = ids[self.base_index]
+        # Deletions come first: a trial direction lies in the old span. When
+        # the old base has left as well, the new base's column goes too.
+        old_base_left = base_id != f.base_id and f.base_id not in live
+        keep = live - {base_id} if old_base_left else live
+        drop = [j for j, i in enumerate(f.ids) if i not in keep]
+        if len(drop) == len(f.ids):
+            return False
+        for j in reversed(drop):
+            f.q, f.r = scipy.linalg.qr_delete(f.q, f.r, j, which="col", check_finite=False)
+            del f.ids[j]
+        # A square Q is read as a full factorization, which keeps all n
+        # columns of Q; the held factor is the economic part.
+        f.q, f.r = f.q[:, : len(f.ids)], f.r[: len(f.ids)]
+        if old_base_left:
+            self._rebase(f, np.ones(len(f.ids)))
+        known = set(f.ids)
+        known.add(f.base_id)
+        new = [t for t, i in enumerate(ids) if i not in known]
+        if len(f.ids) + len(new) > len(f.base):
+            return False  # more directions than dimensions: some are dependent
+        if new:
+            u = (self.primary[new] - f.base).T
+            f.q, f.r = scipy.linalg.qr_insert(
+                f.q, f.r, u, len(f.ids), which="col", check_finite=False
+            )
+            f.ids += [ids[t] for t in new]
+        if base_id != f.base_id:
+            # The new base's column becomes the old base's offset.
+            j = f.ids.index(base_id)
+            v = np.ones(len(f.ids))
+            v[j] = 2.0
+            f.ids[j] = f.base_id
+            self._rebase(f, v)
+        return True
+
+    def _rebase(self, f: _Factor, v: np.ndarray):
+        """Move ``f`` to the current base: add -(base - f.base) v^T to its matrix."""
+        base = self.base
+        f.q, f.r = scipy.linalg.qr_update(f.q, f.r, f.base - base, v, check_finite=False)
+        f.base, f.base_id = base, self._ids[self.base_index]
 
 
 @dataclass
@@ -310,7 +427,7 @@ def build_mfn_model(
     gram = u @ u.T
     a_block = 0.25 * gram**2
     x_block = np.hstack([np.ones((m, 1)), u])  # (m, r+1)
-    resid_rhs = np.array(values) - 0.5 * np.einsum("ij,jk,ik->i", u, h_ref_s, u)
+    resid_rhs = np.array(values) - 0.5 * np.einsum("ij,ij->i", u @ h_ref_s, u)
     rhs = np.concatenate([resid_rhs, np.zeros(r + 1)])
 
     try:
@@ -333,7 +450,7 @@ def build_mfn_model(
 
     model = SubspaceModel(base, q_mat, const, grad_s / dbar, h_s / dbar**2)
     vals = np.asarray(values)
-    pred = const + u @ grad_s + 0.5 * np.einsum("ij,jk,ik->i", u, h_s, u)
+    pred = const + u @ grad_s + 0.5 * np.einsum("ij,ij->i", u @ h_s, u)
     if np.any(np.abs(pred - vals) > INTERP_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))):
         raise ModelConstructionError("interpolation residuals exceed tolerance")
     return model

@@ -6,7 +6,7 @@ hundred rows, backed by NumPy/SciPy dense routines.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -22,9 +22,13 @@ SADDLE_RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Basis:
-    """Orthonormal basis of a subspace, stored as the columns of an n x r matrix."""
+    """Orthonormal basis of a subspace, stored as the columns of an n x r matrix.
+
+    ``gram_error`` is the measured max |Q^T Q - I|, at most BASIS_ORTHO_TOL.
+    """
 
     columns: np.ndarray
+    gram_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         q = np.atleast_2d(np.asarray(self.columns, dtype=float))
@@ -38,6 +42,7 @@ class Basis:
                 f"basis columns not orthonormal (max |Q^T Q - I| = {gram_err:.3e})"
             )
         object.__setattr__(self, "columns", q)
+        object.__setattr__(self, "gram_error", float(gram_err))
 
     @property
     def dim(self) -> int:
@@ -65,6 +70,12 @@ def orthonormal_basis(vectors) -> Basis:
     ones falls below 1e-10 times its input norm is dropped (and the
     factorization redone without it). Raises EmptyBasisError when nothing
     survives.
+
+    This is the from-scratch path. ``run_rsdfoq`` calls it for its first
+    basis and whenever the factor its interpolation set holds cannot be
+    updated (``InterpolationSet.updated_basis``); every other basis comes
+    from ``scipy.linalg`` QR updates of that factor, whose order is part of
+    what fixes the bits of the solver's records.
 
     Bit contract: the factorization is LAPACK ``geqrf``/``orgqr`` on a
     Fortran-order copy of the n x k matrix (``scipy.linalg.qr``, economic

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 
 from .exceptions import (
     ContractViolationError,
@@ -43,6 +44,10 @@ logger = logging.getLogger(__name__)
 # Hard numerical floor on trust-region radii, used only when the configured
 # floor is disabled (rho_end = 0); prevents spinning on denormal radii.
 RADIUS_EPS = 1e-300
+
+# Distances, in units of delta_next, at which add_orthogonal_points tries a
+# direction until the objective is finite there.
+PROBE_SCALES = (1.0, -1.0, 0.5, -0.5, 0.25, -0.25)
 
 
 @dataclass
@@ -303,19 +308,22 @@ def add_orthogonal_points(
     """Add ``count`` fresh primary points at distance ``delta_next`` from the base.
 
     Directions are mutually orthonormal and orthogonal to the span of the
-    existing primary offsets from the base point; each new point is
-    evaluated and cached. Points whose value comes back non-finite are not
-    added.
+    existing primary offsets from the base point, taken from the set's held
+    factor; each new point is evaluated and cached. When a value comes back
+    non-finite, the same direction is retried on the other side of the base
+    and then at half and a quarter of the distance (every retry is an
+    evaluation); a direction with no finite value is not added.
     """
     if count < 0:
         raise ContractViolationError("count must be nonnegative")
     if count == 0:
         return
-    dirs = iset.primary_directions()
-    n = dirs.shape[1]
-    # orthonormal_basis drops zero rows itself; it only needs one nonzero row.
-    if np.any(np.einsum("ij,ij->i", dirs, dirs) > 0.0):
-        span = orthonormal_basis(dirs).columns
+    n = iset.base.shape[0]
+    if len(iset.primary) > 1:
+        basis = iset.updated_basis() or iset.hold_basis(
+            orthonormal_basis(iset.primary_directions())
+        )
+        span = basis.columns
     else:
         span = np.zeros((n, 0))
     if span.shape[1] + count > n:
@@ -323,28 +331,21 @@ def add_orthogonal_points(
             "subspace span already full-dimensional; cannot add orthogonal directions"
         )
 
-    frame = np.empty((n, count))
-    filled = 0
-    for _attempt in range(100 * count):
-        v = rng.standard_normal(n)
-        for _ in range(2):
-            v = v - span @ (span.T @ v)
-            v = v - frame[:, :filled] @ (frame[:, :filled].T @ v)
-        nv = np.linalg.norm(v)
-        if nv > 1e-8:
-            frame[:, filled] = v / nv
-            filled += 1
-            if filled == count:
-                break
-    if filled < count:
+    draws = rng.standard_normal((count, n)).T
+    for _ in range(2):
+        draws -= span @ (span.T @ draws)
+    frame, r = scipy.linalg.qr(draws, mode="economic", overwrite_a=True, check_finite=False)
+    if np.any(np.abs(np.diag(r)) <= 1e-8):
         raise ContractViolationError("failed to draw orthogonal directions")
 
     base = iset.base
     for j in range(count):
-        point = base + delta_next * frame[:, j]
-        val = objective(point)
-        if math.isfinite(val):
-            iset.add_primary(point, val)
+        for scale in PROBE_SCALES:
+            point = base + (scale * delta_next) * frame[:, j]
+            val = objective(point)
+            if math.isfinite(val):
+                iset.add_primary(point, val)
+                break
 
 
 def _run_prototype(
@@ -482,7 +483,12 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
             if iterate_hook is not None:
                 iterate_hook(k, iset.base)
 
-            basis = orthonormal_basis(iset.primary_directions())
+            # The held factor, refactored from scratch when it cannot be
+            # updated. orthonormal_basis is called by name here and in
+            # add_orthogonal_points: perfbench/tracing.py times it there.
+            basis = iset.updated_basis() or iset.hold_basis(
+                orthonormal_basis(iset.primary_directions())
+            )
             try:
                 model = build_mfn_model(
                     iset,

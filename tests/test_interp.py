@@ -20,7 +20,7 @@ from subdfo.interp import (
     n_quadratic_coeffs,
     project_secondary,
 )
-from subdfo.numerics import Basis, orthonormal_basis
+from subdfo.numerics import BASIS_ORTHO_TOL, Basis, orthonormal_basis
 
 
 def make_set(base, base_value, p, q, primary=(), secondary=()):
@@ -149,6 +149,106 @@ class TestStackedStorage:
         assert np.array_equal(iset.secondary[-1], first)
         assert np.array_equal(base, [0.0, 0.0])
         assert [list(y) for y in iset.primary] == [[0.0, 0.0], [0.0, 1.0]]
+
+
+def held_factor_errors(iset, basis):
+    """(min principal-angle cosine against a fresh orthonormal_basis, max
+    |Q^T Q - I|, ||D - QR|| / ||D||) of the factor the set holds, with D the
+    primary directions in the factor's column order."""
+    f = iset._factor
+    assert f is not None and np.shares_memory(f.q, basis.columns)
+    rows = dict(zip(iset._ids, iset.primary))
+    d = np.array([rows[i] - iset.base for i in f.ids]).T
+    fresh = orthonormal_basis(iset.primary_directions()).columns
+    cosines = np.linalg.svd(fresh.T @ f.q, compute_uv=False)
+    assert fresh.shape == f.q.shape
+    gram = np.max(np.abs(f.q.T @ f.q - np.eye(f.q.shape[1])))
+    return cosines.min(), gram, np.linalg.norm(d - f.q @ f.r) / np.linalg.norm(d)
+
+
+class TestHeldFactor:
+    @staticmethod
+    def _read(iset):
+        basis = iset.updated_basis()
+        return basis if basis is not None else iset.hold_basis(
+            orthonormal_basis(iset.primary_directions())
+        )
+
+    @pytest.mark.parametrize("p, q", [(3, 9), (5, 11), (7, 15)])
+    def test_scripted_steps_keep_the_factor_exact(self, p, q):
+        # Adds, demotions (the old base too, after recentring), recentring to
+        # held and to pending points, with reads at random times. A read
+        # refactors only when no held column is left to update.
+        n = 9
+        rng = np.random.default_rng(10 * p + q)
+        iset = InterpolationSet(rng.standard_normal(n), 0.0, p, q)
+        for _ in range(p):
+            iset.add_primary(rng.standard_normal(n), float(rng.standard_normal()))
+        basis = self._read(iset)
+        updates = 0
+        for step in range(300):
+            kind = int(rng.integers(4))
+            if kind == 0 and len(iset.primary) < min(p + 3, n + 1):
+                iset.add_primary(rng.standard_normal(n), float(rng.standard_normal()))
+            elif kind == 1 and len(iset.primary) > 2:
+                choices = [i for i in range(len(iset.primary)) if i != iset.base_index]
+                iset.move_to_secondary(int(rng.choice(choices)))
+            elif kind == 2:
+                iset.primary_values[int(rng.integers(len(iset.primary)))] -= 1.0
+                iset.recenter_to_best()
+            elif len(iset.primary) > 1:
+                others = set(iset._ids) - {iset._ids[iset.base_index]}
+                held_left = bool(others & set(iset._factor.ids))
+                basis = iset.updated_basis()
+                if basis is None:
+                    assert not held_left, step
+                    basis = iset.hold_basis(orthonormal_basis(iset.primary_directions()))
+                else:
+                    updates += 1
+                cos_min, gram, resid = held_factor_errors(iset, basis)
+                assert cos_min >= 1 - 1e-10, step
+                assert gram <= BASIS_ORTHO_TOL, step
+                assert resid <= 1e-12, step
+        assert updates > 40
+
+    def test_dependent_direction_is_not_held(self):
+        # Three collinear points: orthonormal_basis drops one direction, so
+        # no factor is held and every read refactors.
+        iset = make_set([0.0, 0.0, 0.0], 0.0, 2, 5, primary=[((1.0, 0.0, 0.0), 1.0), ((2.0, 0.0, 0.0), 2.0)])
+        basis = iset.hold_basis(orthonormal_basis(iset.primary_directions()))
+        assert basis.rank == 1
+        assert iset.updated_basis() is None
+        # A new independent point does not revive it either.
+        iset.add_primary(np.array([0.0, 1.0, 0.0]), 1.0)
+        assert iset.updated_basis() is None
+
+    def test_dependent_insertion_drops_the_factor(self):
+        iset = make_set([0.0, 0.0, 0.0], 0.0, 3, 7, primary=[((1.0, 0.0, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0)])
+        self._read(iset)
+        iset.add_primary(np.array([1.0, 1.0, 0.0]), 1.0)
+        assert iset.updated_basis() is None
+        assert orthonormal_basis(iset.primary_directions()).rank == 2
+        # More directions than dimensions.
+        iset = make_set([0.0, 0.0], 0.0, 2, 5, primary=[((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)])
+        self._read(iset)
+        iset.add_primary(np.array([1.0, 1.0]), 1.0)
+        assert iset.updated_basis() is None
+
+    def test_drifted_factor_is_dropped(self):
+        rng = np.random.default_rng(0)
+        iset = InterpolationSet(np.zeros(20), 0.0, 5, 11)
+        for _ in range(5):
+            iset.add_primary(rng.standard_normal(20), 1.0)
+        self._read(iset)
+        assert iset.updated_basis() is not None
+        iset._factor.q = iset._factor.q + 1e-11 * rng.standard_normal((20, 5))
+        assert iset.updated_basis() is None
+        basis = self._read(iset)
+        assert basis.gram_error <= 0.5 * BASIS_ORTHO_TOL
+        # Drift that Basis still accepts, but above half its tolerance.
+        iset._factor.q = iset._factor.q * np.array([1.0 + 0.35 * BASIS_ORTHO_TOL, 1, 1, 1, 1])
+        assert 0.5 * BASIS_ORTHO_TOL < Basis(iset._factor.q).gram_error <= BASIS_ORTHO_TOL
+        assert iset.updated_basis() is None
 
 
 class TestProjectSecondary:

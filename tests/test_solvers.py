@@ -8,7 +8,7 @@ import pytest
 import subdfo.solvers as solvers_mod
 from subdfo.exceptions import ContractViolationError, ModelConstructionError
 from subdfo.interp import InterpolationSet
-from subdfo.numerics import Basis, orthonormal_basis
+from subdfo.numerics import BASIS_ORTHO_TOL, Basis, orthonormal_basis
 from subdfo.problems import Problem, make_problem
 from subdfo.records import TERMINATIONS, RunRecord
 from subdfo.solvers import (
@@ -552,6 +552,104 @@ class TestRunRsdfoq:
             run_rsdfoq(prob, cfg, iterate_hook=lambda k, x: starts.append(k))
             assert len(starts) > 20, (n, p)
             assert len(starts) <= calls <= 2 * len(starts) + 1, (n, p, calls)
+
+    def test_held_factor_matches_a_fresh_factorization(self, monkeypatch):
+        # After every iteration's changes, the basis the solver reads is the
+        # held factor, and it agrees with factoring the directions afresh.
+        from subdfo.interp import build_mfn_model as real_build
+
+        checked = 0
+
+        def probe(iset, basis, prev=None, **kwargs):
+            nonlocal checked
+            f = iset._factor
+            assert f is not None and np.shares_memory(f.q, basis.columns)
+            rows = dict(zip(iset._ids, iset.primary))
+            d = np.array([rows[i] - iset.base for i in f.ids]).T
+            fresh = orthonormal_basis(iset.primary_directions()).columns
+            assert fresh.shape == f.q.shape
+            assert np.linalg.svd(fresh.T @ f.q, compute_uv=False).min() >= 1 - 1e-10
+            assert np.max(np.abs(f.q.T @ f.q - np.eye(f.q.shape[1]))) <= BASIS_ORTHO_TOL
+            assert np.linalg.norm(d - f.q @ f.r) <= 1e-12 * np.linalg.norm(d)
+            checked += 1
+            return real_build(iset, basis, prev=prev, **kwargs)
+
+        monkeypatch.setattr(solvers_mod, "build_mfn_model", probe)
+        for n, p, q in ((30, 5, 11), (6, 6, 28)):
+            for seed in range(3):
+                checked = 0
+                prob = make_problem("chained_rosenbrock", n)
+                run_rsdfoq(prob, SolverConfig(p=p, q=q, seed=seed, max_evals=300))
+                assert checked > 50, (n, p, seed)
+
+    def test_drifted_factor_is_refactored(self, monkeypatch):
+        # A held Q perturbed by 1e-11 (Gram error above BASIS_ORTHO_TOL) is
+        # refactored through orthonormal_basis at the next read; Basis never
+        # sees the drifted columns.
+        real_basis = solvers_mod.orthonormal_basis
+        calls = []
+
+        def spy(vectors):
+            calls.append(len(vectors))
+            return real_basis(vectors)
+
+        monkeypatch.setattr(solvers_mod, "orthonormal_basis", spy)
+        from subdfo.interp import build_mfn_model as real_build
+
+        builds = []
+
+        def probe(iset, basis, prev=None, **kwargs):
+            builds.append((iset, basis))
+            return real_build(iset, basis, prev=prev, **kwargs)
+
+        monkeypatch.setattr(solvers_mod, "build_mfn_model", probe)
+        perturbed = []
+
+        def hook(k, x):
+            if k == 10:
+                f = builds[-1][0]._factor
+                f.q = f.q + 1e-11 * np.random.default_rng(0).standard_normal(f.q.shape)
+                perturbed.append(len(calls))
+
+        prob = make_problem("chained_rosenbrock", 30)
+        rec = run_rsdfoq(prob, SolverConfig(p=5, q=11, seed=0, max_evals=300), iterate_hook=hook)
+        assert rec.termination == "budget"
+        # One call for the first factor, one for the refactor after drift.
+        assert perturbed == [1]
+        assert len(calls) == 2
+        assert all(basis.gram_error <= 0.5 * BASIS_ORTHO_TOL for _, basis in builds)
+
+    def test_orthonormal_basis_runs_at_most_once_per_ten_iterations(self, monkeypatch):
+        real_basis = solvers_mod.orthonormal_basis
+        calls = 0
+
+        def spy(vectors):
+            nonlocal calls
+            calls += 1
+            return real_basis(vectors)
+
+        monkeypatch.setattr(solvers_mod, "orthonormal_basis", spy)
+        starts = []
+        prob = make_problem("chained_rosenbrock", 200)
+        cfg = SolverConfig(p=10, seed=0, max_evals=300)
+        run_rsdfoq(prob, cfg, iterate_hook=lambda k, x: starts.append(k))
+        assert len(starts) > 50
+        assert calls <= len(starts) / 10, (calls, len(starts))
+
+    def test_nonfinite_probes_are_retried(self):
+        # f is NaN where x[1] > 1 and its minimizer lies there, so the base
+        # approaches the boundary and probes cross it. Dropping them left
+        # the base alone, and every run ended as "error".
+        n = 10
+
+        def f(x):
+            return math.nan if x[1] > 1.0 else float(np.sum((x - 2.0) ** 2))
+
+        for seed in range(5):
+            prob = Problem("nan_above_one", n, f, None, None, np.zeros(n), 0.0)
+            rec = run_rsdfoq(prob, SolverConfig(p=1, seed=seed, max_evals=300))
+            assert rec.termination != "error", seed
+            assert rec.total_evals == prob.evals, seed
 
     def test_inf_outside_small_ball_returns_record(self):
         # f = ||x||^2 inside ||x - 1|| < 0.15 and inf outside: orthogonal
