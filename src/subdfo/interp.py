@@ -70,17 +70,18 @@ class _RowStack:
 
 @dataclass
 class _Factor:
-    """Economic QR factor ``q @ r`` of primary offsets from ``base``.
+    """Economic QR factor ``q @ r`` of primary offsets from an anchor.
 
     Column j of ``q @ r`` is the offset of the primary point with id
-    ``ids[j]``; ``base`` is a copy of the point with id ``base_id``.
+    ``ids[j]`` from ``anchor``, a copy of the primary point with id
+    ``anchor_id``. ``ids`` lists the other primary points in stored order.
     """
 
     q: np.ndarray
     r: np.ndarray
     ids: list
-    base_id: int
-    base: np.ndarray
+    anchor_id: int
+    anchor: np.ndarray
 
 
 class InterpolationSet:
@@ -95,8 +96,13 @@ class InterpolationSet:
     only until the set next changes; ``base`` is a copy.
 
     The set can hold a QR factor of its primary directions (see
-    ``updated_basis`` and ``hold_basis``). Changes to the primary set are
-    applied to it only when it is next read.
+    ``updated_basis`` and ``hold_basis``). The factor is anchored at one
+    primary point, not at the base: while that point stays in the set, a
+    moved base leaves the factor as it is. Changes to the primary set are
+    applied to it only when it is next read. The set also keeps the
+    subspace coordinates of its primary points in the basis it last
+    returned, through later demotions and points added with known
+    coordinates (``primary_coords``).
     """
 
     def __init__(self, base, base_value: float, p: int, q: int):
@@ -116,6 +122,9 @@ class InterpolationSet:
         self._ids = [0]
         self._next_id = 1
         self._factor: Optional[_Factor] = None
+        # (basis, z): row t of z is Q^T (primary[t] - o) for one fixed origin
+        # o, with Q = basis.columns.
+        self._coords: Optional[tuple] = None
 
     @property
     def primary(self) -> np.ndarray:
@@ -137,11 +146,46 @@ class InterpolationSet:
     def secondary_capacity(self) -> int:
         return max(0, self.q - self.p - 1)
 
-    def add_primary(self, point, value: float):
+    def add_primary(self, point, value: float, coords=None):
+        """Add a primary point.
+
+        ``coords``, when given, are the point's coordinates Q^T (point -
+        base) in the basis the set last returned (a trust-region step: the
+        point is base + Q coords); they keep ``primary_coords`` free of
+        products with Q.
+        """
         self._primary.append(point)
         self.primary_values.append(float(value))
         self._ids.append(self._next_id)
         self._next_id += 1
+        if self._coords is not None:
+            if coords is None:
+                self._coords = None
+            else:
+                basis, z = self._coords
+                self._coords = (basis, np.vstack([z, z[self.base_index] + coords]))
+
+    def add_orthogonal(self, directions: np.ndarray, lengths, values):
+        """Add the points base + lengths[j] * directions[:, j] with their values.
+
+        ``directions`` are orthonormal columns orthogonal to the span of the
+        held factor. When the factor has no pending change they are appended
+        to it as they are: R gains the base's column above a diagonal of
+        ``lengths``. The next ``updated_basis`` checks them with the rest.
+        """
+        f, base, base_id = self._factor, self.base, self._ids[self.base_index]
+        current = f is not None and set(self._ids) == set(f.ids) | {f.anchor_id}
+        for j, (length, value) in enumerate(zip(lengths, values)):
+            self.add_primary(base + length * directions[:, j], value)
+        if current and len(lengths):
+            k, m = len(f.ids), len(lengths)
+            r = np.zeros((k + m, k + m))
+            r[:k, :k] = f.r
+            if base_id != f.anchor_id:
+                r[:k, k:] = f.r[:, f.ids.index(base_id), None]
+            r[k:, k:] = np.diag(lengths)
+            f.q, f.r = np.hstack([f.q, directions]), r
+            f.ids += self._ids[-m:]
 
     def contains_primary(self, point) -> bool:
         """Whether a primary point lies within 1e-14 max(1, ||point||) of ``point``."""
@@ -160,6 +204,9 @@ class InterpolationSet:
         del self._ids[index]
         if index < self.base_index:
             self.base_index -= 1
+        if self._coords is not None:
+            basis, z = self._coords
+            self._coords = (basis, np.delete(z, index, axis=0))
         while len(self.secondary_values) > self.secondary_capacity:
             self._secondary.pop(0)
             self.secondary_values.pop(0)
@@ -176,48 +223,87 @@ class InterpolationSet:
         np.subtract(pts[b + 1 :], pts[b], out=out[b:])
         return out
 
+    def primary_coords(self, basis: Basis) -> np.ndarray:
+        """Coordinates Q^T (y - base) of the primary points, one row each.
+
+        For the basis that ``updated_basis`` or ``hold_basis`` last returned
+        they come from the set's own record, O(p^2); for any other basis
+        they are computed as (primary - base) @ Q.
+        """
+        if self._coords is not None and self._coords[0] is basis:
+            z = self._coords[1]
+            return z - z[self.base_index]
+        return (self.primary - self.primary[self.base_index]) @ basis.columns
+
     def hold_basis(self, basis: Basis) -> Basis:
         """Hold the factor of a fresh ``orthonormal_basis(primary_directions())``.
 
-        R is read off as the upper triangle of Q^T D. A basis that dropped a
-        dependent direction is not held, so the next read refactors again.
+        The factor is anchored at the base, and R is read off as the upper
+        triangle of Q^T D. A basis that dropped a dependent direction is not
+        held, so the next read refactors again.
         """
         dirs = self.primary_directions()
+        q, b = basis.columns, self.base_index
+        qtd = q.T @ dirs.T
         if basis.rank == len(dirs):
-            q = basis.columns
-            ids = self._ids[: self.base_index] + self._ids[self.base_index + 1 :]
-            base_id = self._ids[self.base_index]
-            self._factor = _Factor(q, np.triu(q.T @ dirs.T), ids, base_id, self.base)
+            ids = self._ids[:b] + self._ids[b + 1 :]
+            self._factor = _Factor(q, np.triu(qtd), ids, self._ids[b], self.base)
+        self._coords = (basis, np.insert(qtd.T, b, 0.0, axis=0))
         return basis
 
     def updated_basis(self) -> Optional[Basis]:
         """Basis of the held factor after the changes since it was last read.
 
-        Points that left the primary set are deleted from it first, then the
-        new points are inserted, and a moved base is one rank-one update.
-        Returns None, and drops the factor, when there is none, when no held
-        column is left to update, when there are more directions than
-        dimensions, when a direction is dependent (SciPy rejects it, or it
-        fails the drop rule of ``orthonormal_basis``: |r_jj| <= 1e-10
-        ||d_j||), or when max |Q^T Q - I| exceeds half of BASIS_ORTHO_TOL.
-        The caller then refactors from scratch and calls ``hold_basis``.
+        Applies the changes as ``updated_span`` does, then checks the
+        columns with ``Basis``, and records the primary coordinates from R.
+        Returns None, and drops the factor, when ``updated_span`` does or
+        when max |Q^T Q - I| exceeds half of BASIS_ORTHO_TOL. The caller then
+        refactors from scratch and calls ``hold_basis``.
         """
+        f = self._updated_factor()
+        if f is None:
+            return None
+        try:
+            basis = Basis(f.q)
+        except ContractViolationError:
+            basis = None
+        if basis is None or basis.gram_error > 0.5 * BASIS_ORTHO_TOL:
+            self._factor = None
+            return None
+        # Column j of R holds the coordinates of point ids[j] from the
+        # anchor, whose own are zero.
+        self._coords = (basis, np.insert(f.r.T, self._ids.index(f.anchor_id), 0.0, axis=0))
+        return basis
+
+    def updated_span(self) -> Optional[np.ndarray]:
+        """Columns Q of the held factor after the pending changes, unchecked.
+
+        Points that left the primary set are deleted first, one
+        ``scipy.linalg.qr_delete`` per run of adjacent columns; when the
+        anchor itself has left, the base becomes the anchor through one
+        rank-one update. New points are then inserted. Returns None, and
+        drops the factor, when there is none, when no held column is left to
+        update, when there are more directions than dimensions, or when a
+        direction is dependent (SciPy rejects it, or it fails the drop rule
+        of ``orthonormal_basis``: |r_jj| <= 1e-10 ||d_j||).
+        """
+        f = self._updated_factor()
+        return None if f is None else f.q
+
+    def _updated_factor(self) -> Optional[_Factor]:
         f, self._factor = self._factor, None
         if f is None:
             return None
         try:
             if not self._update(f):
                 return None
-            basis = Basis(f.q)
-        except (np.linalg.LinAlgError, ContractViolationError):
+        except np.linalg.LinAlgError:
             return None
         col_norms = np.sqrt(np.einsum("ij,ij->j", f.r, f.r))
         if np.any(np.abs(np.diag(f.r)) <= 1e-10 * col_norms):
             return None
-        if basis.gram_error > 0.5 * BASIS_ORTHO_TOL:
-            return None
         self._factor = f
-        return basis
+        return f
 
     def _update(self, f: _Factor) -> bool:
         """Apply the pending changes to ``f``; False when that is not possible."""
@@ -225,45 +311,45 @@ class InterpolationSet:
         live = set(ids)
         base_id = ids[self.base_index]
         # Deletions come first: a trial direction lies in the old span. When
-        # the old base has left as well, the new base's column goes too.
-        old_base_left = base_id != f.base_id and f.base_id not in live
-        keep = live - {base_id} if old_base_left else live
+        # the anchor has left, the base's column goes too.
+        anchor_left = f.anchor_id not in live
+        keep = live - {base_id} if anchor_left else live
         drop = [j for j, i in enumerate(f.ids) if i not in keep]
         if len(drop) == len(f.ids):
             return False
-        for j in reversed(drop):
-            f.q, f.r = scipy.linalg.qr_delete(f.q, f.r, j, which="col", check_finite=False)
-            del f.ids[j]
+        runs = []
+        for j in drop:
+            if runs and runs[-1][0] + runs[-1][1] == j:
+                runs[-1][1] += 1
+            else:
+                runs.append([j, 1])
+        for j, count in reversed(runs):
+            f.q, f.r = scipy.linalg.qr_delete(
+                f.q, f.r, j, count, which="col", check_finite=False
+            )
+        f.ids = [i for i in f.ids if i in keep]
         # A square Q is read as a full factorization, which keeps all n
         # columns of Q; the held factor is the economic part.
         f.q, f.r = f.q[:, : len(f.ids)], f.r[: len(f.ids)]
-        if old_base_left:
-            self._rebase(f, np.ones(len(f.ids)))
+        if anchor_left:
+            # Every column y - anchor becomes y - base.
+            base = self.base
+            f.q, f.r = scipy.linalg.qr_update(
+                f.q, f.r, f.anchor - base, np.ones(len(f.ids)), check_finite=False
+            )
+            f.anchor, f.anchor_id = base, base_id
         known = set(f.ids)
-        known.add(f.base_id)
+        known.add(f.anchor_id)
         new = [t for t, i in enumerate(ids) if i not in known]
-        if len(f.ids) + len(new) > len(f.base):
+        if len(f.ids) + len(new) > len(f.anchor):
             return False  # more directions than dimensions: some are dependent
         if new:
-            u = (self.primary[new] - f.base).T
+            u = (self.primary[new] - f.anchor).T
             f.q, f.r = scipy.linalg.qr_insert(
                 f.q, f.r, u, len(f.ids), which="col", check_finite=False
             )
             f.ids += [ids[t] for t in new]
-        if base_id != f.base_id:
-            # The new base's column becomes the old base's offset.
-            j = f.ids.index(base_id)
-            v = np.ones(len(f.ids))
-            v[j] = 2.0
-            f.ids[j] = f.base_id
-            self._rebase(f, v)
         return True
-
-    def _rebase(self, f: _Factor, v: np.ndarray):
-        """Move ``f`` to the current base: add -(base - f.base) v^T to its matrix."""
-        base = self.base
-        f.q, f.r = scipy.linalg.qr_update(f.q, f.r, f.base - base, v, check_finite=False)
-        f.base, f.base_id = base, self._ids[self.base_index]
 
 
 @dataclass
@@ -375,13 +461,13 @@ def build_mfn_model(
     q_mat = basis.columns
     r = basis.rank
     base = iset.base
+    coords = iset.primary_coords(basis)
     if use_secondary:
-        coords = (iset.primary - base) @ q_mat
         values = list(iset.primary_values)
     else:
         order = list(range(len(iset.primary)))
         order.insert(0, order.pop(iset.base_index))
-        coords = (iset.primary[order] - base) @ q_mat
+        coords = coords[order]
         values = [iset.primary_values[i] for i in order]
     if use_secondary and len(iset.secondary):
         diffs = iset.secondary - base

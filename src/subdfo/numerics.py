@@ -73,9 +73,12 @@ def orthonormal_basis(vectors) -> Basis:
 
     This is the from-scratch path. ``run_rsdfoq`` calls it for its first
     basis and whenever the factor its interpolation set holds cannot be
-    updated (``InterpolationSet.updated_basis``); every other basis comes
-    from ``scipy.linalg`` QR updates of that factor, whose order is part of
-    what fixes the bits of the solver's records.
+    updated (``InterpolationSet.updated_basis``). Every other basis comes
+    from that factor: anchored at one primary point, brought up to date by
+    ``scipy.linalg`` QR deletions, insertions and, when the anchor leaves,
+    one rank-one update, and extended by the known orthogonal directions of
+    ``add_orthogonal_points``. The order of those steps is part of what
+    fixes the bits of the solver's records.
 
     Bit contract: the factorization is LAPACK ``geqrf``/``orgqr`` on a
     Fortran-order copy of the n x k matrix (``scipy.linalg.qr``, economic

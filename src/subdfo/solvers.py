@@ -246,20 +246,22 @@ def remove_single_point(
     """Demote the primary point scoring highest on the geometry criterion.
 
     Score: |Lagrange value at base + step| times max(dist^4 / delta^4, 1),
-    with distances measured from the base point, which is never demoted. The
-    linear Lagrange basis exists only for ``basis.rank + 1`` affinely
-    independent points; otherwise the score is the distance factor alone.
-    Ties go to the farthest point, then the lowest index. Returns the
+    with distances measured from the base point, which is never demoted.
+    Points and distances are taken in the basis's coordinates
+    (``InterpolationSet.primary_coords``): the primary points lie in its
+    span. The linear Lagrange basis exists only for ``basis.rank + 1``
+    affinely independent points; otherwise the score is the distance factor
+    alone. Ties go to the farthest point, then the lowest index. Returns the
     demoted point.
     """
     if len(iset.primary) < 2:
         raise ContractViolationError("need at least two primary points")
-    diffs = iset.primary - iset.base
-    dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+    coords = iset.primary_coords(basis)
+    dists = np.sqrt(np.einsum("ij,ij->i", coords, coords))
     scores = dists**4 / delta**4
     if len(iset.primary) == basis.rank + 1:
         try:
-            lag = lagrange_from_coords(diffs @ basis.columns)
+            lag = lagrange_from_coords(coords)
             lvals = np.abs(lag.evaluate(basis.project_coords(np.asarray(tentative_step, float))))
             scores = lvals * np.maximum(scores, 1.0)
         except DegenerateGeometryError:
@@ -309,23 +311,20 @@ def add_orthogonal_points(
 
     Directions are mutually orthonormal and orthogonal to the span of the
     existing primary offsets from the base point, taken from the set's held
-    factor; each new point is evaluated and cached. When a value comes back
-    non-finite, the same direction is retried on the other side of the base
-    and then at half and a quarter of the distance (every retry is an
-    evaluation); a direction with no finite value is not added.
+    factor; each new point is evaluated and cached, and its direction joins
+    the factor as a known column. When a value comes back non-finite, the
+    same direction is retried on the other side of the base and then at half
+    and a quarter of the distance (every retry is an evaluation); a direction
+    with no finite value is not added.
     """
     if count < 0:
         raise ContractViolationError("count must be nonnegative")
     if count == 0:
         return
     n = iset.base.shape[0]
-    if len(iset.primary) > 1:
-        basis = iset.updated_basis() or iset.hold_basis(
-            orthonormal_basis(iset.primary_directions())
-        )
-        span = basis.columns
-    else:
-        span = np.zeros((n, 0))
+    span = iset.updated_span() if len(iset.primary) > 1 else np.zeros((n, 0))
+    if span is None:
+        span = iset.hold_basis(orthonormal_basis(iset.primary_directions())).columns
     if span.shape[1] + count > n:
         raise ContractViolationError(
             "subspace span already full-dimensional; cannot add orthogonal directions"
@@ -339,13 +338,17 @@ def add_orthogonal_points(
         raise ContractViolationError("failed to draw orthogonal directions")
 
     base = iset.base
+    added, lengths, values = [], [], []
     for j in range(count):
         for scale in PROBE_SCALES:
-            point = base + (scale * delta_next) * frame[:, j]
-            val = objective(point)
+            length = scale * delta_next
+            val = objective(base + length * frame[:, j])
             if math.isfinite(val):
-                iset.add_primary(point, val)
+                added.append(j)
+                lengths.append(length)
+                values.append(val)
                 break
+    iset.add_orthogonal(frame[:, added], lengths, values)
 
 
 def _run_prototype(
@@ -484,8 +487,9 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                 iterate_hook(k, iset.base)
 
             # The held factor, refactored from scratch when it cannot be
-            # updated. orthonormal_basis is called by name here and in
-            # add_orthogonal_points: perfbench/tracing.py times it there.
+            # updated; the one Basis check of the iteration. orthonormal_basis
+            # is called by name here and in add_orthogonal_points:
+            # perfbench/tracing.py times it there.
             basis = iset.updated_basis() or iset.hold_basis(
                 orthonormal_basis(iset.primary_directions())
             )
@@ -547,7 +551,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                     # is demoted before the trial point joins.
                     remove_single_point(iset, basis, step, delta)
                 if math.isfinite(f_trial) and not iset.contains_primary(trial):
-                    iset.add_primary(trial, f_trial)
+                    iset.add_primary(trial, f_trial, coords=result.step)
                     if accepted:  # the trial lies below the base, the minimum
                         iset.recenter_to_best()
                 # Non-finite probes may have left fewer points than the
@@ -556,7 +560,9 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                 remove_multiple_points(iset, basis, min(n_drop, len(iset.primary) - 1), delta)
 
             rho_next = rho
-            if ratio is not None and ratio < 0.0 and delta <= rho and can_reduce:
+            # A ratio of exactly 0 (no change in f) counts as a failure, so a
+            # flat objective ends at the radius floor instead of the budget.
+            if ratio is not None and ratio <= 0.0 and delta <= rho and can_reduce:
                 rho_next = config.alpha1 * rho
                 delta_next = config.alpha2 * rho
                 cls = "rho_reduced"

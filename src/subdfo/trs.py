@@ -18,6 +18,9 @@ from .numerics import lex_positive
 # Certificate slack, a pure roundoff allowance.
 CERT_SLACK = 1e-12
 
+# Smallest positive normal double; a squared norm below it has lost precision.
+_TINY = float(np.finfo(float).tiny)
+
 
 @dataclass(frozen=True)
 class TrsResult:
@@ -44,12 +47,30 @@ def _flags(dec: float, delta: float, gnorm: float, hnorm: float, tau: float):
     return first, second
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of ``v``, rescaled only when v.v is below the normal range.
+
+    Otherwise it is sqrt(v.v), bit for bit. Below the range v.v is subnormal
+    or zero and has lost digits, so the norm is taken of v / max|v| and
+    scaled back. An overflowing v.v is left as it is: the callers drop the
+    non-finite steps that result.
+    """
+    sq = float(v @ v)
+    if not sq < _TINY:
+        return math.sqrt(sq)
+    big = float(np.max(np.abs(v))) if v.size else 0.0
+    if big == 0.0:
+        return 0.0
+    u = v / big
+    return big * math.sqrt(float(u @ u))
+
+
 def _spectrum(model: SubspaceModel, delta: float):
     """The model's eigendecomposition of H plus the gradient norm, |H|_2 and tau."""
     if delta <= 0.0:
         raise ContractViolationError("delta must be positive")
     w, v = model.eig
-    gnorm = math.sqrt(float(model.gradient @ model.gradient))
+    gnorm = _norm(model.gradient)
     hnorm = max(abs(float(w[0])), abs(float(w[-1]))) if w.size else 0.0
     tau = max(-float(w[0]), 0.0) if w.size else 0.0
     return w, v, gnorm, hnorm, tau
@@ -210,7 +231,7 @@ def solve_trs(model: SubspaceModel, delta: float, mode: str = "first_order") -> 
         candidates.append((_eigen(model, delta, v, gnorm), "eigen"))
     if candidates:
         refined = _exact_trs_eig(model.gradient, w, v, delta)
-        nrm = math.sqrt(float(refined @ refined))
+        nrm = _norm(refined)
         if nrm > delta:  # roundoff only; never violate the ball
             refined = refined * (delta / nrm)
         candidates.append((refined, "refined"))

@@ -154,11 +154,12 @@ class TestStackedStorage:
 def held_factor_errors(iset, basis):
     """(min principal-angle cosine against a fresh orthonormal_basis, max
     |Q^T Q - I|, ||D - QR|| / ||D||) of the factor the set holds, with D the
-    primary directions in the factor's column order."""
+    offsets of the primary points from the factor's anchor, in the factor's
+    column order."""
     f = iset._factor
     assert f is not None and np.shares_memory(f.q, basis.columns)
     rows = dict(zip(iset._ids, iset.primary))
-    d = np.array([rows[i] - iset.base for i in f.ids]).T
+    d = np.array([rows[i] - rows[f.anchor_id] for i in f.ids]).T
     fresh = orthonormal_basis(iset.primary_directions()).columns
     cosines = np.linalg.svd(fresh.T @ f.q, compute_uv=False)
     assert fresh.shape == f.q.shape
@@ -210,6 +211,55 @@ class TestHeldFactor:
                 assert gram <= BASIS_ORTHO_TOL, step
                 assert resid <= 1e-12, step
         assert updates > 40
+
+    @pytest.mark.parametrize("p, q", [(3, 9), (6, 13)])
+    def test_known_columns_and_coordinates_stay_exact(self, p, q):
+        # The solver's cycle, scripted: read, add a point at base + Q s with
+        # its coordinates s, demote, recentre, then append orthogonal
+        # directions as known columns. After every change the recorded
+        # coordinates match (primary - base) @ Q of the last read, and every
+        # read passes the three factor checks.
+        n = 12
+        rng = np.random.default_rng(p + q)
+        iset = InterpolationSet(rng.standard_normal(n), 0.0, p, q)
+        for _ in range(p):
+            iset.add_primary(rng.standard_normal(n), float(rng.standard_normal()))
+        appended = 0
+        for step in range(60):
+            basis = self._read(iset)
+            cos_min, gram, resid = held_factor_errors(iset, basis)
+            assert cos_min >= 1 - 1e-10 and gram <= BASIS_ORTHO_TOL and resid <= 1e-12, step
+
+            def check():
+                direct = (iset.primary - iset.base) @ basis.columns
+                assert np.max(np.abs(iset.primary_coords(basis) - direct)) <= 1e-12 * max(
+                    1.0, float(np.max(np.linalg.norm(direct, axis=1)))
+                ), step
+                assert iset._coords[0] is basis
+
+            check()
+            s_hat = rng.standard_normal(basis.rank)
+            iset.add_primary(iset.base + basis.lift(s_hat), float(rng.standard_normal()), coords=s_hat)
+            check()
+            for _ in range(int(rng.integers(1, 3))):
+                choices = [i for i in range(len(iset.primary)) if i != iset.base_index]
+                iset.move_to_secondary(int(rng.choice(choices)))
+                check()
+            iset.recenter_to_best()
+            check()
+            span = iset.updated_span()
+            count = p + 1 - len(iset.primary)
+            if span is None or count <= 0:
+                continue
+            draws = rng.standard_normal((n, count))
+            for _ in range(2):
+                draws -= span @ (span.T @ draws)
+            frame = np.linalg.qr(draws)[0]
+            held = len(iset._factor.ids)
+            iset.add_orthogonal(frame, rng.uniform(0.5, 2.0, count), rng.standard_normal(count))
+            assert len(iset._factor.ids) == held + count
+            appended += count
+        assert appended > 30
 
     def test_dependent_direction_is_not_held(self):
         # Three collinear points: orthonormal_basis drops one direction, so

@@ -4,10 +4,13 @@ import signal
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subdfo.solvers as solvers_mod
 from subdfo.exceptions import ContractViolationError, ModelConstructionError
-from subdfo.interp import InterpolationSet
+from subdfo.interp import InterpolationSet, n_quadratic_coeffs
 from subdfo.numerics import BASIS_ORTHO_TOL, Basis, orthonormal_basis
 from subdfo.problems import Problem, make_problem
 from subdfo.records import TERMINATIONS, RunRecord
@@ -565,7 +568,7 @@ class TestRunRsdfoq:
             f = iset._factor
             assert f is not None and np.shares_memory(f.q, basis.columns)
             rows = dict(zip(iset._ids, iset.primary))
-            d = np.array([rows[i] - iset.base for i in f.ids]).T
+            d = np.array([rows[i] - rows[f.anchor_id] for i in f.ids]).T
             fresh = orthonormal_basis(iset.primary_directions()).columns
             assert fresh.shape == f.q.shape
             assert np.linalg.svd(fresh.T @ f.q, compute_uv=False).min() >= 1 - 1e-10
@@ -667,6 +670,156 @@ class TestRunRsdfoq:
             assert isinstance(rec, RunRecord)
             assert rec.termination in TERMINATIONS
             assert rec.total_evals <= cfg.max_evals
+
+    @pytest.mark.parametrize(
+        "name, f",
+        [("flat", lambda x: 3.0), ("stepped", lambda x: math.floor(4.0 * float(x @ x)))],
+    )
+    def test_flat_objective_ends_at_the_radius_floor(self, name, f):
+        # Every step leaves f unchanged, so the ratio is exactly 0. It counts
+        # toward rho reduction; counting only ratios below 0 spent the whole
+        # budget.
+        n = 10
+        for seed in range(5):
+            prob = Problem(name, n, f, None, None, np.ones(n), 0.0)
+            rec = run_rsdfoq(prob, SolverConfig(p=3, seed=seed, max_evals=300))
+            assert rec.termination == "rho_floor", seed
+            assert rec.total_evals == prob.evals < 250, seed
+
+    # The held-factor configurations: a subspace and p == n.
+    FACTOR_RUNS = [(30, 5, 11, s) for s in range(3)] + [(6, 6, 28, s) for s in range(3)]
+
+    @pytest.mark.parametrize("n, p, q, seed", FACTOR_RUNS)
+    def test_coordinates_come_from_the_held_factor(self, monkeypatch, n, p, q, seed):
+        # Every model build and every demotion reads the primary coordinates
+        # from the set's record (kept from R, the trial step and the
+        # demotions), never from a product with Q, and they match
+        # (primary - base) @ Q.
+        real_coords = InterpolationSet.primary_coords
+        seen = {"coords": 0, "users": 0}
+
+        def checked(iset, basis):
+            coords = real_coords(iset, basis)
+            assert iset._coords[0] is basis
+            direct = (iset.primary - iset.base) @ basis.columns
+            scale = max(1.0, float(np.max(np.linalg.norm(direct, axis=1))))
+            assert np.max(np.abs(coords - direct)) <= 1e-12 * scale
+            seen["coords"] += 1
+            return coords
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                seen["users"] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(InterpolationSet, "primary_coords", checked)
+        for name in ("build_mfn_model", "remove_single_point"):
+            monkeypatch.setattr(solvers_mod, name, counted(getattr(solvers_mod, name)))
+        prob = make_problem("chained_rosenbrock", n)
+        run_rsdfoq(prob, SolverConfig(p=p, q=q, seed=seed, max_evals=300))
+        assert seen["coords"] == seen["users"] > 100
+
+    @pytest.mark.parametrize("n, p, q, seed", FACTOR_RUNS)
+    def test_rank_one_update_only_when_the_anchor_leaves(self, monkeypatch, n, p, q, seed):
+        # The factor stays anchored at a primary point: a moved base changes
+        # nothing, and qr_update runs only in a read that finds the anchor
+        # gone from the set.
+        real_update = scipy.linalg.qr_update
+        updates = []
+        monkeypatch.setattr(
+            scipy.linalg, "qr_update", lambda *a, **k: updates.append(1) or real_update(*a, **k)
+        )
+        reads = {"anchor_left": 0, "base_moved": 0}
+
+        def spied(read):
+            def wrapper(iset):
+                f = iset._factor
+                anchor_left = f is not None and f.anchor_id not in iset._ids
+                base_moved = f is not None and f.anchor_id != iset._ids[iset.base_index]
+                before = len(updates)
+                out = read(iset)
+                assert len(updates) - before <= int(anchor_left)
+                reads["anchor_left"] += anchor_left
+                reads["base_moved"] += base_moved and not anchor_left
+                return out
+
+            return wrapper
+
+        for name in ("updated_basis", "updated_span"):
+            monkeypatch.setattr(InterpolationSet, name, spied(getattr(InterpolationSet, name)))
+        prob = make_problem("chained_rosenbrock", n)
+        run_rsdfoq(prob, SolverConfig(p=p, q=q, seed=seed, max_evals=300))
+        assert reads["base_moved"] > 20
+        assert len(updates) <= reads["anchor_left"] < reads["base_moved"]
+
+    @pytest.mark.parametrize("n, p, q, seed", FACTOR_RUNS)
+    def test_one_basis_per_iteration(self, monkeypatch, n, p, q, seed):
+        # The read that feeds the model is the one Basis check of an
+        # iteration; add_orthogonal_points works on the unchecked columns.
+        # Refactors through orthonormal_basis build one more each.
+        real_init = Basis.__post_init__
+        built = 0
+
+        def counting_init(self):
+            nonlocal built
+            real_init(self)
+            built += 1
+
+        refactors = 0
+        real_basis = solvers_mod.orthonormal_basis
+
+        def spy(vectors):
+            nonlocal refactors
+            refactors += 1
+            return real_basis(vectors)
+
+        monkeypatch.setattr(Basis, "__post_init__", counting_init)
+        monkeypatch.setattr(solvers_mod, "orthonormal_basis", spy)
+        starts = []
+        prob = make_problem("chained_rosenbrock", n)
+        cfg = SolverConfig(p=p, q=q, seed=seed, max_evals=300)
+        run_rsdfoq(prob, cfg, iterate_hook=lambda k, x: starts.append(k))
+        assert len(starts) > 20
+        assert built <= len(starts) + refactors, (built, len(starts), refactors)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["nan_half_space", "inf_outside_ball", "flat", "stepped"]),
+        n=st.integers(2, 6),
+        full_space=st.booleans(),
+        q_max=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_run_contract_on_pathological_objectives(self, kind, n, full_space, q_max, seed):
+        # p = 1 or p = n, q at its lower or upper bound. Each run returns a
+        # record with a documented termination and honest evaluation
+        # accounting, and repeats exactly under its seed.
+        p = n if full_space else 1
+        q = n_quadratic_coeffs(p) if q_max else p + 2
+        objectives = {
+            "nan_half_space": (
+                lambda x: math.nan if x[0] > 0.5 else float(np.sum((x - 1.0) ** 2)),
+                np.zeros(n),
+            ),
+            "inf_outside_ball": (
+                lambda x: float(x @ x) if np.linalg.norm(x - 1.0) < 0.3 else math.inf,
+                np.ones(n),
+            ),
+            "flat": (lambda x: 3.0, np.ones(n)),
+            "stepped": (lambda x: math.floor(4.0 * float(x @ x)), np.ones(n)),
+        }
+        f, x0 = objectives[kind]
+        cfg = SolverConfig(p=p, q=q, seed=seed, max_evals=120)
+        runs = []
+        for _ in range(2):
+            prob = Problem(kind, n, f, None, None, x0, 0.0)
+            rec = run_rsdfoq(prob, cfg)
+            assert rec.termination in TERMINATIONS
+            assert rec.total_evals == prob.evals <= cfg.max_evals
+            runs.append((rec.termination, rec.total_evals, rec.trace))
+        assert runs[0] == runs[1]
 
     def test_time_cap(self):
         n = 30

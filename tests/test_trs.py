@@ -253,6 +253,31 @@ class TestSolveTrs:
         assert math.isfinite(res.predicted_decrease)
         assert res.predicted_decrease >= 0.0
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 6),
+        g_exp=st.floats(-300.0, 3.0),
+        h_exp=st.floats(-300.0, 3.0),
+        delta_exp=st.floats(-300.0, 3.0),
+        mode=st.sampled_from(["first_order", "second_order"]),
+    )
+    # delta = 10^-156.5 and ||g|| near 10^-158.75: g @ g and the squared
+    # step norm are subnormal, and the unscaled norms put the step outside
+    # the ball by a relative 5e-10 and 9e-7.
+    @example(seed=92, p=1, g_exp=-157.33, h_exp=-198.49, delta_exp=-156.5, mode="first_order")
+    @example(seed=33, p=1, g_exp=-158.75, h_exp=-280.16, delta_exp=-12.47, mode="second_order")
+    def test_step_stays_in_the_ball_at_tiny_scales(self, seed, p, g_exp, h_exp, delta_exp, mode):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((p, p))
+        m = model(10.0**g_exp * rng.standard_normal(p), 10.0**h_exp * (a + a.T))
+        delta = 10.0**delta_exp
+        step = solve_trs(m, delta, mode).step
+        big = float(np.max(np.abs(step)))
+        # Scaled, so the norm itself does not underflow.
+        norm = big * float(np.linalg.norm(step / big)) if big > 0.0 else 0.0
+        assert norm <= delta * (1 + 1e-12)
+
     def test_tiny_radius_returns(self):
         # At delta <= 1e-120 the secular Newton step's n2 * n underflows to
         # zero; the solve must stop there instead of dividing by it.
