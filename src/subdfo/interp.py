@@ -10,7 +10,7 @@ model-error scaling laws.
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -414,19 +414,49 @@ def project_secondary(iset: InterpolationSet, basis: Basis):
     return list(zip(coords, iset.secondary_values))
 
 
+@cache
+def _dedup_direction(r: int) -> np.ndarray:
+    # A fixed generic unit vector: points on coordinate axes, as the
+    # orthogonal directions leave them, still project to distinct values.
+    w = np.random.default_rng(0).standard_normal(r)
+    w /= np.linalg.norm(w)
+    w.flags.writeable = False
+    return w
+
+
 def _dedup_coords(coords, tol: float):
     """Indices of coordinates to keep, dropping near-duplicates of earlier ones.
 
     Greedy in order: a point is dropped when it lies within ``tol`` of an
     earlier point that was kept. Only points with some close earlier point
-    can be dropped, so only those are visited.
+    can be dropped, so only those are visited. Two points within ``tol`` of
+    each other project within ``tol`` (plus roundoff) of each other on any
+    unit vector, so the points are sorted by their projection on a fixed
+    one, and distances are taken only for pairs inside that window.
     """
     pts = np.atleast_2d(np.asarray(coords))
-    lower = np.tril_indices(len(pts), -1)
-    diff = np.take(pts, lower[0], axis=0) - np.take(pts, lower[1], axis=0)
-    close = np.zeros((len(pts), len(pts)), dtype=bool)
-    close[lower] = np.sqrt(np.einsum("ij,ij->i", diff, diff)) < tol
-    keep = np.ones(len(pts), dtype=bool)
+    m, r = pts.shape
+    w = _dedup_direction(r)
+    v = pts @ w
+    order = np.argsort(v, kind="stable")
+    v = v[order]
+    # The window covers the roundoff of the computed distance (relative,
+    # and absolute where squared gaps underflow) and of the projections,
+    # whose error is at most r eps max|pts| ||w||_1, with ||w||_1 <= sqrt(r).
+    slack = 4.0 * (r + 2) * np.finfo(float).eps
+    amax = float(np.max(np.abs(pts), initial=0.0))
+    window = tol * (1.0 + slack) + slack * amax * np.sqrt(r) + 1e-150
+    counts = np.maximum(np.searchsorted(v, v + window, side="right") - np.arange(1, m + 1), 0)
+    if not counts.any():
+        return np.arange(m)
+    first = np.repeat(np.arange(m), counts)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = order[first], order[second]
+    later, earlier = np.maximum(i, j), np.minimum(i, j)
+    diff = np.take(pts, later, axis=0) - np.take(pts, earlier, axis=0)
+    close = np.zeros((m, m), dtype=bool)
+    close[later, earlier] = np.sqrt(np.einsum("ij,ij->i", diff, diff)) < tol
+    keep = np.ones(m, dtype=bool)
     for j in np.flatnonzero(close.any(axis=1)):
         keep[j] = not np.any(close[j] & keep)
     return np.flatnonzero(keep)
@@ -555,18 +585,22 @@ def n_quadratic_coeffs(p: int) -> int:
     return (p + 1) * (p + 2) // 2
 
 
-def full_quadratic_stencil(p: int, delta: float) -> np.ndarray:
-    """Poised sample set {0} u {+-delta e_i} u {delta (e_i + e_j), i < j}."""
-    pts = [np.zeros(p)]
+@cache
+def _unit_stencil(p: int) -> np.ndarray:
     eye = np.eye(p)
-    for i in range(p):
-        pts.append(delta * eye[i])
-    for i in range(p):
-        pts.append(-delta * eye[i])
-    for i in range(p):
-        for j in range(i + 1, p):
-            pts.append(delta * (eye[i] + eye[j]))
-    return np.array(pts)
+    iu, ju = np.triu_indices(p, 1)
+    pts = np.vstack([np.zeros(p), eye, -eye, eye[iu] + eye[ju]])
+    pts.flags.writeable = False
+    return pts
+
+
+def full_quadratic_stencil(p: int, delta: float) -> np.ndarray:
+    """Poised sample set {0} u {+-delta e_i} u {delta (e_i + e_j), i < j}.
+
+    Scales one cached unit stencil per p; for delta >= 0 the result is bit
+    for bit the stencil built from delta directly, signed zeros included.
+    """
+    return delta * _unit_stencil(p)
 
 
 def build_full_quadratic_model(coords, values) -> SubspaceModel:
@@ -580,13 +614,8 @@ def build_full_quadratic_model(coords, values) -> SubspaceModel:
         )
     u, dbar = _unit_scale(coords)
 
-    cols = [np.ones(m)]
-    cols.extend(u[:, i] for i in range(p))
-    cols.extend(0.5 * u[:, i] ** 2 for i in range(p))
-    for i in range(p):
-        for j in range(i + 1, p):
-            cols.append(u[:, i] * u[:, j])
-    design = np.column_stack(cols)
+    iu, ju = np.triu_indices(p, 1)
+    design = np.column_stack([np.ones(m), u, 0.5 * u**2, u[:, iu] * u[:, ju]])
 
     try:
         with np.errstate(all="ignore"):
@@ -601,13 +630,8 @@ def build_full_quadratic_model(coords, values) -> SubspaceModel:
 
     const = float(coef[0])
     grad = coef[1 : p + 1] / dbar
-    hess = np.zeros((p, p))
-    hess[np.diag_indices(p)] = coef[p + 1 : 2 * p + 1]
-    idx = 2 * p + 1
-    for i in range(p):
-        for j in range(i + 1, p):
-            hess[i, j] = hess[j, i] = coef[idx]
-            idx += 1
+    hess = np.diag(coef[p + 1 : 2 * p + 1])
+    hess[iu, ju] = hess[ju, iu] = coef[2 * p + 1 :]
     return SubspaceModel(None, None, const, grad, hess / dbar**2)
 
 

@@ -8,6 +8,7 @@ own evaluations (thread-safely) so harness accounting can be audited.
 import re
 import threading
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,14 +97,24 @@ def _low_rank_quadratic(n: int, r: int) -> Problem:
     rng = derive_rng(0xC0FFEE, "low_rank_quadratic", n, r)
     u, _ = np.linalg.qr(rng.standard_normal((n, r)))
     lam = np.logspace(0.0, 2.0, r)
-    a = u @ (lam[:, None] * u.T)
-    a = 0.5 * (a + a.T)
+
+    # Held as the n x r factor: value and gradient cost O(nr). The dense
+    # n x n Hessian is formed only when asked for, once.
+    def f(x):
+        z = u.T @ x
+        return float(0.5 * lam @ (z * z))
+
+    @cache
+    def dense_hessian():
+        a = u @ (lam[:, None] * u.T)
+        return 0.5 * (a + a.T)
+
     return Problem(
         f"low_rank_quadratic({r})",
         n,
-        lambda x: float(0.5 * x @ (a @ x)),
-        lambda x: a @ x,
-        lambda x: a,
+        f,
+        lambda x: u @ (lam * (u.T @ x)),
+        lambda x: dense_hessian(),
         np.ones(n),
         0.0,
     )

@@ -247,6 +247,7 @@ def remove_single_point(
 
     Score: |Lagrange value at base + step| times max(dist^4 / delta^4, 1),
     with distances measured from the base point, which is never demoted.
+    ``tentative_step`` is a full-space step, or None for the zero step.
     Points and distances are taken in the basis's coordinates
     (``InterpolationSet.primary_coords``): the primary points lie in its
     span. The linear Lagrange basis exists only for ``basis.rank + 1``
@@ -262,7 +263,11 @@ def remove_single_point(
     if len(iset.primary) == basis.rank + 1:
         try:
             lag = lagrange_from_coords(coords)
-            lvals = np.abs(lag.evaluate(basis.project_coords(np.asarray(tentative_step, float))))
+            if tentative_step is None:
+                s_hat = np.zeros(basis.rank)
+            else:
+                s_hat = basis.project_coords(np.asarray(tentative_step, float))
+            lvals = np.abs(lag.evaluate(s_hat))
             scores = lvals * np.maximum(scores, 1.0)
         except DegenerateGeometryError:
             logger.debug("degenerate Lagrange set; falling back to distance-only removal")
@@ -293,10 +298,9 @@ def remove_multiple_points(
     """
     if count >= len(iset.primary):
         raise ContractViolationError("cannot remove that many primary points")
-    zero_step = np.zeros(basis.dim)
     removed = []
     for _ in range(count):
-        removed.append(remove_single_point(iset, basis, zero_step, delta))
+        removed.append(remove_single_point(iset, basis, None, delta))
     return removed
 
 
@@ -529,7 +533,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                 cls = "safety"
                 delta_next = max(config.gamma_dec * delta, rho)
                 if (not can_reduce) or delta > rho:
-                    remove_single_point(iset, basis, np.zeros(n), delta)
+                    remove_single_point(iset, basis, None, delta)
             else:
                 step = basis.lift(result.step)
                 trial = iset.base + step

@@ -373,6 +373,58 @@ class TestDedupCoords:
                 assert list(_dedup_coords(pts, tol)) == full_tensor(pts, tol), (m, tol)
 
 
+    def test_matches_the_all_pairs_reference(self):
+        # Reference: the version that took the distance of every pair. The
+        # windowed search must keep the same points: on random sets, on
+        # chains of near-duplicates whose greedy order decides what stays,
+        # and at tol equal to a pair distance.
+        def all_pairs(pts, tol):
+            pts = np.atleast_2d(np.asarray(pts))
+            lower = np.tril_indices(len(pts), -1)
+            diff = np.take(pts, lower[0], axis=0) - np.take(pts, lower[1], axis=0)
+            close = np.zeros((len(pts), len(pts)), dtype=bool)
+            close[lower] = np.sqrt(np.einsum("ij,ij->i", diff, diff)) < tol
+            keep = np.ones(len(pts), dtype=bool)
+            for j in np.flatnonzero(close.any(axis=1)):
+                keep[j] = not np.any(close[j] & keep)
+            return list(np.flatnonzero(keep))
+
+        rng = np.random.default_rng(29)
+        cases = []
+        for m, r in ((1, 3), (2, 1), (7, 2), (51, 25), (91, 12), (101, 50)):
+            pts = rng.standard_normal((m, r))
+            lower = np.tril_indices(m, -1)
+            dist = np.linalg.norm(pts[lower[0]] - pts[lower[1]], axis=1)
+            tols = [1e-10, 0.5, 3.0] + [float(d) for d in np.sort(dist)[:3]]
+            cases.append((pts, tols))
+        for r in (1, 4, 30):
+            # Chains: each point lies 0.6 tol from the one before, in a
+            # random direction, in shuffled order, plus exact duplicates.
+            steps = rng.standard_normal((40, r))
+            steps *= 0.6 / np.linalg.norm(steps, axis=1, keepdims=True)
+            pts = np.cumsum(steps, axis=0)[rng.permutation(40)]
+            pts = np.vstack([pts, pts[:5]])
+            cases.append((pts, [1.0, 0.6, 1.2, float(np.linalg.norm(pts[1] - pts[0]))]))
+        # Points on coordinate axes, as orthogonal directions leave them,
+        # with near-duplicates and tol at the gap of a planted pair.
+        axes = np.vstack([np.zeros(12), 0.3 * np.eye(12), -0.3 * np.eye(12)])
+        axes = np.vstack([axes, axes[3:6] + 1e-11, axes[7] + 4e-11 * np.eye(12)[0]])
+        cases.append((axes, [1e-10, 1e-11, 4e-11, float(np.linalg.norm(axes[-1] - axes[7]))]))
+        # Gaps along one coordinate at and around tol, and tiny tols.
+        line = np.zeros((6, 3))
+        line[:, 0] = [0.0, 1e-10, 2e-10, 3e-10 + 1e-26, 1.0, 1.0 + 1e-10]
+        cases.append((line, [1e-10, np.nextafter(1e-10, 1.0), 2e-10, 1e-300]))
+        cases.append((rng.standard_normal((30, 4)) * 1e-160, [1e-160, 1e-155, 1e-300]))
+        for pts, tols in cases:
+            for tol in tols:
+                assert list(_dedup_coords(pts, tol)) == all_pairs(pts, tol), (pts.shape, tol)
+
+    def test_non_finite_coordinates_are_never_close(self):
+        pts = np.array([[0.0, 0.0], [np.nan, 0.0], [np.inf, 0.0], [np.inf, 0.0], [0.0, 1e-12]])
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert list(_dedup_coords(pts, 1e-10)) == [0, 1, 2, 3]
+
+
 class TestBuildMfnModel:
     def test_affine_objective_zero_hessian(self):
         rng = np.random.default_rng(1)
@@ -606,6 +658,63 @@ class TestFullQuadraticModel:
     def test_wrong_count_rejected(self):
         with pytest.raises(ContractViolationError):
             build_full_quadratic_model(np.zeros((4, 2)), np.zeros(4))
+
+    def test_stencil_matches_the_directly_scaled_construction(self):
+        # Reference: the stencil built from delta row by row. The cached
+        # unit stencil scaled by delta must equal it bit for bit, signed
+        # zeros included, and a caller's edits must not reach the cache.
+        def reference(p, delta):
+            pts = [np.zeros(p)]
+            eye = np.eye(p)
+            for i in range(p):
+                pts.append(delta * eye[i])
+            for i in range(p):
+                pts.append(-delta * eye[i])
+            for i in range(p):
+                for j in range(i + 1, p):
+                    pts.append(delta * (eye[i] + eye[j]))
+            return np.array(pts)
+
+        for p in range(1, 7):
+            for delta in (1.0, 0.5, 1e-3, 0.1, 7.25, 3e-9, 1e300, 5e-324, 0.0):
+                ours = full_quadratic_stencil(p, delta)
+                ref = reference(p, delta)
+                assert ours.shape == ref.shape == (n_quadratic_coeffs(p), p)
+                assert ours.tobytes() == ref.tobytes(), (p, delta)
+            ours[:] = 9.0
+            assert full_quadratic_stencil(p, 1.0).tobytes() == reference(p, 1.0).tobytes()
+
+    def test_model_matches_the_column_by_column_construction(self):
+        # Reference: design columns and Hessian entries filled pair by pair.
+        def reference(coords, values):
+            m, p = coords.shape
+            dbar = float(np.max(np.linalg.norm(coords, axis=1)))
+            u = coords / dbar
+            cols = [np.ones(m)]
+            cols.extend(u[:, i] for i in range(p))
+            cols.extend(0.5 * u[:, i] ** 2 for i in range(p))
+            for i in range(p):
+                for j in range(i + 1, p):
+                    cols.append(u[:, i] * u[:, j])
+            coef = np.linalg.solve(np.column_stack(cols), values)
+            hess = np.zeros((p, p))
+            hess[np.diag_indices(p)] = coef[p + 1 : 2 * p + 1]
+            idx = 2 * p + 1
+            for i in range(p):
+                for j in range(i + 1, p):
+                    hess[i, j] = hess[j, i] = coef[idx]
+                    idx += 1
+            return float(coef[0]), coef[1 : p + 1] / dbar, hess / dbar**2
+
+        rng = np.random.default_rng(5)
+        for p in range(1, 7):
+            coords = full_quadratic_stencil(p, 0.3) + rng.uniform(-0.01, 0.01, (n_quadratic_coeffs(p), p))
+            values = rng.standard_normal(len(coords))
+            model = build_full_quadratic_model(coords, values)
+            const, grad, hess = reference(coords, values)
+            assert model.constant == const
+            assert model.gradient.tobytes() == grad.tobytes()
+            assert model.hessian.tobytes() == hess.tobytes()
 
 
 class TestLagrange:

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from subdfo.exceptions import CatalogError, UnsupportedDiagnosticError
 from subdfo.problems import Problem, catalog, make_problem, true_criticality
+from subdfo.seeding import derive_rng
 
 ALL_NAMES = sorted(catalog())
 
@@ -98,6 +101,56 @@ class TestOracles:
         for _ in range(17):
             p.objective(p.x0)
         assert p.evals == 17
+
+
+def dense_low_rank_hessian(n, r):
+    # The dense matrix the problem was defined by: 0.5 (a + a^T) with
+    # a = U diag(lam) U^T, U the seeded orthonormal n x r frame.
+    rng = derive_rng(0xC0FFEE, "low_rank_quadratic", n, r)
+    u, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    a = u @ (np.logspace(0.0, 2.0, r)[:, None] * u.T)
+    return 0.5 * (a + a.T)
+
+
+class TestLowRankQuadratic:
+    @pytest.mark.parametrize("n", [6, 50])
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_factored_form_matches_the_dense_matrix(self, n, r):
+        p = make_problem(f"low_rank_quadratic({r})", n)
+        a = dense_low_rank_hessian(n, r)
+        rng = np.random.default_rng(n * 10 + r)
+        for x in rng.standard_normal((50, n)) * rng.uniform(0.01, 10.0, (50, 1)):
+            f, f_dense = p.raw_objective(x), 0.5 * x @ (a @ x)
+            assert abs(f - f_dense) <= 1e-12 * max(1.0, abs(f))
+            g = p.gradient_oracle(x)
+            assert np.linalg.norm(g - a @ x) <= 1e-12 * max(1.0, np.linalg.norm(g))
+
+    def test_hessian_is_the_dense_matrix_formed_once(self):
+        p = make_problem("low_rank_quadratic(3)", 40)
+        h = p.hessian_oracle(p.x0)
+        assert h.tobytes() == dense_low_rank_hessian(40, 3).tobytes()
+        assert p.hessian_oracle(np.zeros(40)) is h
+
+    def test_value_is_never_negative(self):
+        p = make_problem("low_rank_quadratic", 50)
+        rng = np.random.default_rng(17)
+        xs = rng.standard_normal((10000, 50)) * 10.0 ** rng.uniform(-8, 8, (10000, 1))
+        assert min(p.raw_objective(x) for x in xs) >= 0.0
+
+    def test_no_dense_matrix_without_a_hessian_request(self):
+        # An n x n matrix at n = 5000 takes 200 MB; the factor takes 200 kB.
+        n = 5000
+        tracemalloc.start()
+        try:
+            p = make_problem("low_rank_quadratic", n)
+            x = np.linspace(-1.0, 1.0, n)
+            for _ in range(10):
+                p.objective(x)
+                p.gradient_oracle(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestTrueCriticality:

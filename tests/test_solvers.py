@@ -170,6 +170,28 @@ class TestRemoveMultiplePoints:
         with pytest.raises(ContractViolationError):
             remove_multiple_points(iset, basis, 2, 1.0)
 
+    def test_zero_step_matches_a_projected_zero_vector(self, monkeypatch):
+        # The zero step is given in subspace coordinates, so no full-space
+        # vector is projected, and the demotions are the ones a projected
+        # full-space zero vector gives.
+        def random_set(seed):
+            rng = np.random.default_rng(seed)
+            n, p = 40, 4
+            iset = InterpolationSet(rng.standard_normal(n), 0.0, p, 2 * p + 1)
+            dirs = rng.standard_normal((p, n))
+            for j in range(p):
+                iset.add_primary(iset.base + rng.uniform(0.1, 2.0) * dirs[j], float(j))
+            return iset, orthonormal_basis(list(dirs))
+
+        for seed in range(20):
+            iset, basis = random_set(seed)
+            want = [remove_single_point(iset, basis, np.zeros(basis.dim), 0.5) for _ in range(2)]
+            iset, basis = random_set(seed)
+            monkeypatch.setattr(Basis, "project_coords", lambda *a: pytest.fail("projected"))
+            got = remove_multiple_points(iset, basis, 2, 0.5)
+            monkeypatch.undo()
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want], seed
+
 
 class TestAddOrthogonalPoints:
     def test_count_zero(self):
