@@ -154,9 +154,10 @@ def run_campaign(
 
     Each run's budget is budget_multiplier * (n + 1) evaluations; its RNG
     seed is derived from the master seed and the triple, so the persisted
-    store is a pure function of the inputs. Individual run failures are
-    recorded with termination='error', their exception logged as a warning,
-    and the campaign continues.
+    store is a pure function of the inputs. A run that raises is recorded
+    with termination='error' and the exception's type and message in its
+    ``error`` field, the exception is logged as a warning, and the campaign
+    continues.
     """
     if not problems or not solvers:
         raise ContractViolationError("need at least one problem and one solver")
@@ -190,6 +191,7 @@ def run_campaign(
                         trace=[],
                         wall_time=time.perf_counter() - t0,
                         termination="error",
+                        error=f"{type(err).__name__}: {err}",
                     )
                 records.append(rec)
     records.sort(key=lambda r: (r.problem, r.n, r.solver, r.seed))

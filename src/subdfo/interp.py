@@ -30,14 +30,22 @@ logger = logging.getLogger(__name__)
 INTERP_RESIDUAL_TOL = 1e-9  # relative interpolation residual accepted
 KKT_RESIDUAL_TOL = 1e-8  # optimality certificate for the MFN solve
 LAGRANGE_TOL = 1e-8  # cardinality-condition tolerance
+# Largest entry of |D D^T - I| and of |D F^T| accepted for new frame rows D
+# before they are orthogonalized again.
+FRAME_ORTHO_TOL = 1e-14
+# A point given without coordinates extends the frame when its distance from
+# the frame's span exceeds this, relative to max(1, ||point||).
+FRAME_RESIDUAL_TOL = 1e-13
 
 
 class _RowStack:
     """Rows of a (len, n) array kept contiguous, in insertion order.
 
-    Rows live in a preallocated buffer: appending copies the row in, popping
-    the first row only moves the start, and the buffer is compacted or
-    doubled when the end is reached.
+    Rows live in a preallocated buffer: appending copies the row in, and
+    popping a row moves the rows on its shorter side, so popping the first
+    row only moves the start. When the end is reached the rows move to the
+    start of the buffer, or of one twice as long when they fill more than
+    half of it, so a full buffer is not compacted again after each pop.
     """
 
     def __init__(self, n: int, capacity: int):
@@ -52,20 +60,71 @@ class _RowStack:
     def append(self, row):
         if self._stop == len(self._buf):
             rows = self.rows
-            if self._start == 0:
+            if 2 * len(rows) > len(self._buf):
                 self._buf = np.empty((2 * len(self._buf), self._buf.shape[1]))
             self._buf[: len(rows)] = rows
             self._start, self._stop = 0, len(rows)
         self._buf[self._stop] = row
         self._stop += 1
 
+    def widened(self, width: int) -> "_RowStack":
+        """A copy with ``width`` columns, the new ones zero."""
+        rows = self.rows
+        out = _RowStack(width, len(self._buf))
+        out._buf[: len(rows)] = 0.0
+        out._buf[: len(rows), : rows.shape[1]] = rows
+        out._stop = len(rows)
+        return out
+
     def pop(self, index: int):
-        if index == 0:
+        i = self._start + index
+        if 2 * index < self._stop - self._start:
+            self._buf[self._start + 1 : i + 1] = self._buf[self._start : i]
             self._start += 1
         else:
-            i = self._start + index
             self._buf[i : self._stop - 1] = self._buf[i + 1 : self._stop]
             self._stop -= 1
+
+
+def _projection_coefficients(span, coords):
+    """y with coords - span y = (I - span span^T)^2 coords: two projection passes."""
+    y = span.T @ coords
+    y += span.T @ (coords - span @ y)
+    return y
+
+
+def _off_frame(leak, res) -> bool:
+    """Whether every entry of |leak| = |res F^T| is within FRAME_ORTHO_TOL ||res_i||."""
+    tol = FRAME_ORTHO_TOL * np.sqrt(np.min(np.einsum("ij,ij->i", res, res)))
+    return bool(np.max(np.abs(leak), initial=0.0) <= tol)
+
+
+def _orthonormal_rows(x):
+    """(u, t) with orthonormal rows u and x = t^T u, t upper triangular.
+
+    Goes through the Gram matrix x x^T (Cholesky QR), once more when an entry
+    of |u u^T - I| exceeds FRAME_ORTHO_TOL.
+    """
+    c = len(x)
+    t = np.eye(c)
+    for _ in range(2):
+        try:
+            chol = np.linalg.cholesky(x @ x.T)
+        except np.linalg.LinAlgError as err:
+            raise ContractViolationError("failed to draw orthogonal directions") from err
+        x = np.linalg.inv(chol) @ x
+        t = chol.T @ t
+        if np.max(np.abs(x @ x.T - np.eye(c))) <= FRAME_ORTHO_TOL:
+            return x, t
+    raise ContractViolationError("failed to draw orthogonal directions")
+
+
+def _offsets(pts, b: int) -> np.ndarray:
+    """Rows of ``pts`` other than row b, minus row b."""
+    out = np.empty((len(pts) - 1, pts.shape[1]))
+    np.subtract(pts[:b], pts[b], out=out[:b])
+    np.subtract(pts[b + 1 :], pts[b], out=out[b:])
+    return out
 
 
 @dataclass
@@ -73,8 +132,9 @@ class _Factor:
     """Economic QR factor ``q @ r`` of primary offsets from an anchor.
 
     Column j of ``q @ r`` is the offset of the primary point with id
-    ``ids[j]`` from ``anchor``, a copy of the primary point with id
-    ``anchor_id``. ``ids`` lists the other primary points in stored order.
+    ``ids[j]`` from ``anchor``, a copy of the frame coordinates of the
+    primary point with id ``anchor_id``; ``q`` has one row per frame
+    direction. ``ids`` lists the other primary points in stored order.
     """
 
     q: np.ndarray
@@ -95,13 +155,24 @@ class InterpolationSet:
     points in stored order. They alias the set's storage, so they are valid
     only until the set next changes; ``base`` is a copy.
 
-    The set can hold a QR factor of its primary directions (see
-    ``updated_basis`` and ``hold_basis``). The factor is anchored at one
-    primary point, not at the base: while that point stays in the set, a
-    moved base leaves the factor as it is. Changes to the primary set are
-    applied to it only when it is next read. The set also keeps the
-    subspace coordinates of its primary points in the basis it last
-    returned, through later demotions and points added with known
+    Frame: every point x also has frame coordinates w, with x = o + F w up
+    to roundoff, where F is n x k with orthonormal columns (``frame`` holds
+    them as rows) and o is ``origin``. When n <= 2q the frame is the
+    identity: o = 0 and the coordinates are the points themselves, so every
+    product below is the full-space one. Otherwise F spans the affine hull
+    of the points: a point joins with known coordinates (a trust-region
+    step base + Q s) or along new directions orthogonal to F, which extend
+    it (``draw_orthogonal``, ``add_orthogonal``). When new directions would
+    take k past the frame's width of 3q/2, the frame is first rebuilt on the
+    hull of the stored points, at most q - 1 directions (a compaction).
+
+    The set can hold a QR factor of its primary directions in frame
+    coordinates (see ``updated_basis`` and ``hold_basis``). The factor is
+    anchored at one primary point, not at the base: while that point stays
+    in the set, a moved base leaves the factor as it is. Changes to the
+    primary set are applied to it only when it is next read. The set also
+    keeps the subspace coordinates of its primary points in the basis it
+    last returned, through later demotions and points added with known
     coordinates (``primary_coords``).
     """
 
@@ -111,11 +182,12 @@ class InterpolationSet:
         self.p = int(p)
         self.q = int(q)
         base = np.asarray(base, dtype=float)
-        self._primary = _RowStack(base.shape[0], self.p + 2)
+        n = base.shape[0]
+        self._primary = _RowStack(n, self.p + 2)
         self._primary.append(base)
         self.primary_values = [float(base_value)]
         self.base_index = 0
-        self._secondary = _RowStack(base.shape[0], 2 * self.secondary_capacity)
+        self._secondary = _RowStack(n, 2 * self.secondary_capacity)
         self.secondary_values = []
         # A distinct id per primary point, in stored order; the held factor
         # names its columns by these ids.
@@ -125,6 +197,23 @@ class InterpolationSet:
         # (basis, z): row t of z is Q^T (primary[t] - o) for one fixed origin
         # o, with Q = basis.columns.
         self._coords: Optional[tuple] = None
+        if n <= 2 * self.q:
+            # The identity frame: the frame coordinates are the points.
+            self._frame = None
+            self._wprimary, self._wsecondary = self._primary, self._secondary
+        else:
+            # Frame rows in a buffer of 3q/2 rows: passes over F cost O(nk)
+            # and a compaction O(nk^2), and the hull needs at most q - 1.
+            width = 3 * self.q // 2
+            self._frame = np.empty((width, n))
+            self._k = 0
+            self._origin = base.copy()
+            self._wprimary = _RowStack(width, self.p + 2)
+            self._wprimary.append(np.zeros(width))
+            self._wsecondary = _RowStack(width, 2 * self.secondary_capacity)
+        # (frame buffer before the last compaction, U): the old frame's
+        # first k rows are U @ (new rows), so coordinates c become U^T c.
+        self._rotation: Optional[tuple] = None
 
     @property
     def primary(self) -> np.ndarray:
@@ -146,18 +235,61 @@ class InterpolationSet:
     def secondary_capacity(self) -> int:
         return max(0, self.q - self.p - 1)
 
+    @property
+    def frame(self) -> Optional[np.ndarray]:
+        """The k x n orthonormal frame rows (F^T), or None for the identity frame."""
+        return None if self._frame is None else self._frame[: self._k]
+
+    @property
+    def origin(self) -> np.ndarray:
+        if self._frame is None:
+            return np.zeros(self.primary.shape[1])
+        return self._origin.copy()
+
+    @property
+    def frame_dim(self) -> int:
+        """k, the number of frame coordinates (n for the identity frame)."""
+        return self.primary.shape[1] if self._frame is None else self._k
+
+    @property
+    def primary_frame_coords(self) -> np.ndarray:
+        """Frame coordinates of the primary points, one row each (aliases storage)."""
+        return self._wprimary.rows if self._frame is None else self._wprimary.rows[:, : self._k]
+
+    @property
+    def secondary_frame_coords(self) -> np.ndarray:
+        """Frame coordinates of the secondary points, one row each (aliases storage)."""
+        return self._wsecondary.rows if self._frame is None else self._wsecondary.rows[:, : self._k]
+
+    def _push(self, point, value: float, w):
+        self._primary.append(point)
+        if self._frame is not None:
+            self._wprimary.append(w)
+        self.primary_values.append(float(value))
+        self._ids.append(self._next_id)
+        self._next_id += 1
+
     def add_primary(self, point, value: float, coords=None):
         """Add a primary point.
 
         ``coords``, when given, are the point's coordinates Q^T (point -
         base) in the basis the set last returned (a trust-region step: the
         point is base + Q coords); they keep ``primary_coords`` free of
-        products with Q.
+        products with Q and give the point's frame coordinates in O(kp).
+        A point without them is projected on the frame, which it extends
+        when it lies off the frame's span.
         """
-        self._primary.append(point)
-        self.primary_values.append(float(value))
-        self._ids.append(self._next_id)
-        self._next_id += 1
+        w = None
+        if self._frame is not None:
+            w, res = self._locate(point, coords)
+            scale = FRAME_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(point)))
+            if res is not None and np.linalg.norm(res) > scale:
+                if self._k == len(self._frame):
+                    self._make_room(1)
+                    w, res = self._locate(point, None)
+                norm = float(np.linalg.norm(res))
+                w[self._extend((res / norm)[:, None])] = norm
+        self._push(point, value, w)
         if self._coords is not None:
             if coords is None:
                 self._coords = None
@@ -165,42 +297,205 @@ class InterpolationSet:
                 basis, z = self._coords
                 self._coords = (basis, np.vstack([z, z[self.base_index] + coords]))
 
-    def add_orthogonal(self, directions: np.ndarray, lengths, values):
+    def _locate(self, point, coords):
+        """Frame coordinates (full buffer width) of a point, and its residual.
+
+        With ``coords`` for the basis last returned, the point is base + Q
+        coords and its residual is None. Otherwise the point is projected on
+        the frame twice; the residual is the part of point - origin off it.
+        """
+        basis = None if self._coords is None else self._coords[0]
+        if coords is not None and basis is not None and self._in_frame(basis):
+            w = self._wprimary.rows[self.base_index].copy()
+            w[: basis.coords.shape[0]] += basis.coords @ coords
+            return w, None
+        f = self.frame
+        w = np.zeros(len(self._frame))
+        res = np.asarray(point, dtype=float) - self._origin
+        for _ in range(2):
+            c = f @ res
+            res = res - f.T @ c
+            w[: self._k] += c
+        return w, res
+
+    def draw_orthogonal(self, draws: np.ndarray, span: np.ndarray):
+        """Orthonormal directions from the n x c Gaussian ``draws``, orthogonal to ``span``.
+
+        ``span`` is the held factor's Q in frame coordinates. Returns the
+        directions and their frame coordinates; the two are the same for the
+        identity frame, where the draws get two projection passes and a QR
+        factorization in full space. Otherwise the frame is first compacted
+        if c more directions would not fit, and three passes over F do the
+        rest: the draws' frame coordinates; the residuals off the frame,
+        together with the lift of the part the projection removes; and a
+        check, which repeats the residuals' projection only when an entry
+        of |F res| exceeds FRAME_ORTHO_TOL ||res||. The residuals,
+        orthonormalized through their c x c Gram matrix, extend the frame.
+        The projection against ``span`` and the orthonormalization, again
+        through the Gram matrix, run on the (k + c) x c coordinates.
+        """
+        if self._frame is None:
+            for _ in range(2):
+                draws -= span @ (span.T @ draws)
+            out, r = scipy.linalg.qr(draws, mode="economic", overwrite_a=True, check_finite=False)
+            if np.any(np.abs(np.diag(r)) <= 1e-8):
+                raise ContractViolationError("failed to draw orthogonal directions")
+            return out, out
+        c = draws.shape[1]
+        rotation = self._rotation
+        self._make_room(c)
+        if self._rotation is not rotation:
+            span = self._rotation[1][: len(span)].T @ span
+        # Row layout: products of the form (few rows) @ F stream F fastest.
+        f, rows = self.frame, draws.T
+        coords = rows @ f.T
+        y = _projection_coefficients(span, coords.T)
+        # One pass gives the residuals and the lift of the projected part.
+        lifted = np.vstack([coords, (span @ y).T]) @ f
+        res = rows - lifted[:c]
+        leak = res @ f.T  # the check pass
+        if not _off_frame(leak, res):
+            res -= leak @ f
+            coords += leak
+            if not _off_frame(res @ f.T, res):
+                raise ContractViolationError("failed to draw orthogonal directions")
+            y = _projection_coefficients(span, coords.T)
+            lifted[c:] = (span @ y).T @ f
+        res, tri = _orthonormal_rows(res)
+        self._extend(res.T)
+        # In the frame extended by the residuals the draws are [coords; tri];
+        # less the projections they factor as v t, and [F; E]^T v is
+        # (draws - F^T span y) t^-1, which needs no further pass.
+        v, t = _orthonormal_rows(np.hstack([coords - y.T @ span.T, tri.T]))
+        return (np.linalg.inv(t).T @ (rows - lifted[c:])).T, v.T
+
+    def add_orthogonal(self, directions: np.ndarray, lengths, values, coords=None):
         """Add the points base + lengths[j] * directions[:, j] with their values.
 
-        ``directions`` are orthonormal columns orthogonal to the span of the
-        held factor. When the factor has no pending change they are appended
-        to it as they are: R gains the base's column above a diagonal of
-        ``lengths``. The next ``updated_basis`` checks them with the rest.
+        ``directions`` and ``coords`` are orthonormal columns from
+        ``draw_orthogonal``: the directions, orthogonal to the span of the
+        held factor, and their frame coordinates (needed only for a
+        non-identity frame), so the new points' frame coordinates are the
+        base's plus lengths[j] coords[:, j]. When the factor has no pending
+        change, the coordinates are appended to it as they are: R gains the
+        base's column above a diagonal of ``lengths``. The next
+        ``updated_basis`` checks them with the rest.
         """
-        f, base, base_id = self._factor, self.base, self._ids[self.base_index]
+        f, base_id = self._factor, self._ids[self.base_index]
         current = f is not None and set(self._ids) == set(f.ids) | {f.anchor_id}
+        m = len(lengths)
+        base = self.base
+        known = directions if self._frame is None else coords
+        if self._frame is not None:
+            wbase = self._wprimary.rows[self.base_index].copy()
         for j, (length, value) in enumerate(zip(lengths, values)):
-            self.add_primary(base + length * directions[:, j], value)
-        if current and len(lengths):
-            k, m = len(f.ids), len(lengths)
-            r = np.zeros((k + m, k + m))
-            r[:k, :k] = f.r
+            w = None
+            if self._frame is not None:
+                w = wbase.copy()
+                w[: len(known)] += length * known[:, j]
+            self._push(base + length * directions[:, j], value, w)
+        self._coords = None
+        if current and m:
+            h = len(f.ids)
+            r = np.zeros((h + m, h + m))
+            r[:h, :h] = f.r
             if base_id != f.anchor_id:
-                r[:k, k:] = f.r[:, f.ids.index(base_id), None]
-            r[k:, k:] = np.diag(lengths)
-            f.q, f.r = np.hstack([f.q, directions]), r
+                r[:h, h:] = f.r[:, f.ids.index(base_id), None]
+            r[h:, h:] = np.diag(lengths)
+            f.q, f.r = np.hstack([f.q, known]), r
             f.ids += self._ids[-m:]
 
-    def contains_primary(self, point) -> bool:
-        """Whether a primary point lies within 1e-14 max(1, ||point||) of ``point``."""
+    def _make_room(self, c: int):
+        """Compact the frame when c more directions would not fit in its buffer."""
+        if self._k + c > len(self._frame):
+            self._compact(c)
+
+    def _extend(self, directions) -> int:
+        """Append orthonormal n-vector columns to the frame; their first index.
+
+        Makes room first. The held factor's Q gains zero rows for them.
+        """
+        c = directions.shape[1]
+        self._make_room(c)
+        k = self._k
+        self._frame[k : k + c] = directions.T
+        self._k = k + c
+        f = self._factor
+        if f is not None and c:
+            f.q = np.vstack([f.q, np.zeros((c, f.q.shape[1]))])
+        return k
+
+    def _compact(self, room: int):
+        """Rebuild the frame on the affine hull of the stored points.
+
+        The base becomes the origin. With the offsets of the other points
+        from it factored as U R in the old frame coordinates, the new frame
+        is F U and the points' new coordinates are the columns of R. The
+        held factor's Q becomes U^T Q when it has no pending change (its
+        columns then lie in the hull), and is dropped otherwise. A basis
+        expressed in the old frame is carried over by U^T (``overlap``).
+        The buffer is widened when ``room`` more directions would still not
+        fit, which happens only when more than q points are stored.
+        """
+        k, b, n = self._k, self.base_index, self._frame.shape[1]
+        f = self._factor
+        current = f is not None and set(self._ids) == set(f.ids) | {f.anchor_id}
+        prim, sec = self._wprimary.rows, self._wsecondary.rows
+        wbase = prim[b, :k].copy()
+        offsets = np.vstack([prim[:b, :k], prim[b + 1 :, :k], sec[:, :k]]) - wbase
+        width = min(k, len(offsets))
+        if width:
+            u, r = scipy.linalg.qr(offsets.T, mode="economic", check_finite=False)
+        else:
+            u, r = np.zeros((k, 0)), np.zeros((0, len(offsets)))
+        size = len(self._frame)
+        if width + room > size:
+            size = min(max(width + room, 2 * size), n)
+            self._wprimary = self._wprimary.widened(size)
+            self._wsecondary = self._wsecondary.widened(size)
+            prim, sec = self._wprimary.rows, self._wsecondary.rows
+        frame = np.empty((size, n))
+        np.matmul(u.T, self._frame[:k], out=frame[:width])
+        coords = np.zeros((len(offsets), size))
+        coords[:, :width] = r.T
+        prim[:b], prim[b], prim[b + 1 :] = coords[:b], 0.0, coords[b : len(prim) - 1]
+        sec[:] = coords[len(prim) - 1 :]
+        self._rotation = (self._frame, u)
+        self._frame, self._k = frame, width
+        self._origin = self.base
+        if current:
+            f.q = u.T @ f.q
+            f.anchor = prim[self._ids.index(f.anchor_id)].copy()
+        else:
+            self._factor = None
+
+    def contains_primary(self, point, coords=None) -> bool:
+        """Whether a primary point lies within 1e-14 max(1, ||point||) of ``point``.
+
+        ``coords`` are as for ``add_primary``; with them the distances are
+        taken in frame coordinates without a product with the frame.
+        """
         point = np.asarray(point, dtype=float)
         scale = max(1.0, float(np.linalg.norm(point)))
-        diffs = self.primary - point
-        return bool(np.min(np.einsum("ij,ij->i", diffs, diffs)) <= (1e-14 * scale) ** 2)
+        if self._frame is None:
+            diffs = self.primary - point
+            off = 0.0
+        else:
+            w, res = self._locate(point, coords)
+            diffs = self.primary_frame_coords - w[: self._k]
+            off = 0.0 if res is None else float(res @ res)
+        return bool(np.min(np.einsum("ij,ij->i", diffs, diffs)) + off <= (1e-14 * scale) ** 2)
 
     def move_to_secondary(self, index: int):
         """Demote primary point ``index`` to the secondary set (never the base)."""
         if index == self.base_index:
             raise ContractViolationError("cannot demote the base point")
         self._secondary.append(self.primary[index])
-        self.secondary_values.append(self.primary_values.pop(index))
         self._primary.pop(index)
+        if self._frame is not None:
+            self._wsecondary.append(self._wprimary.rows[index])
+            self._wprimary.pop(index)
+        self.secondary_values.append(self.primary_values.pop(index))
         del self._ids[index]
         if index < self.base_index:
             self.base_index -= 1
@@ -209,6 +504,8 @@ class InterpolationSet:
             self._coords = (basis, np.delete(z, index, axis=0))
         while len(self.secondary_values) > self.secondary_capacity:
             self._secondary.pop(0)
+            if self._frame is not None:
+                self._wsecondary.pop(0)
             self.secondary_values.pop(0)
 
     def recenter_to_best(self):
@@ -217,37 +514,99 @@ class InterpolationSet:
 
     def primary_directions(self) -> np.ndarray:
         """Offsets of the non-base primary points from the base, one per row."""
-        pts, b = self.primary, self.base_index
-        out = np.empty((len(pts) - 1, pts.shape[1]))
-        np.subtract(pts[:b], pts[b], out=out[:b])
-        np.subtract(pts[b + 1 :], pts[b], out=out[b:])
-        return out
+        return _offsets(self.primary, self.base_index)
+
+    def frame_directions(self) -> np.ndarray:
+        """The same offsets in frame coordinates (the points' for the identity frame)."""
+        return _offsets(self.primary_frame_coords, self.base_index)
+
+    def _in_frame(self, basis: Basis) -> bool:
+        """Whether ``basis.coords`` are coordinates in the set's current frame."""
+        if self._frame is None:
+            return basis.frame is None
+        return basis.frame is not None and basis.frame.base is self._frame
+
+    def _space(self, basis: Basis):
+        """(primary rows, secondary rows, C): coordinates in ``basis`` are (row - base row) @ C.
+
+        The rows are frame coordinates when the basis is expressed in the
+        set's frame; otherwise they are the points and C = basis.columns.
+        """
+        if not self._in_frame(basis):
+            return self.primary, self.secondary, basis.columns
+        if self._frame is None:
+            return self.primary, self.secondary, basis.coords
+        k = basis.coords.shape[0]
+        return self._wprimary.rows[:, :k], self._wsecondary.rows[:, :k], basis.coords
 
     def primary_coords(self, basis: Basis) -> np.ndarray:
         """Coordinates Q^T (y - base) of the primary points, one row each.
 
         For the basis that ``updated_basis`` or ``hold_basis`` last returned
         they come from the set's own record, O(p^2); for any other basis
-        they are computed as (primary - base) @ Q.
+        they are computed as (primary - base) @ Q, in frame coordinates when
+        the basis is expressed in the set's frame.
         """
         if self._coords is not None and self._coords[0] is basis:
             z = self._coords[1]
             return z - z[self.base_index]
-        return (self.primary - self.primary[self.base_index]) @ basis.columns
+        rows, _, c = self._space(basis)
+        return (rows - rows[self.base_index]) @ c
+
+    def secondary_offsets(self, basis: Basis):
+        """(D, C): rows of D are the secondary points minus the base, and D @ C
+        their coordinates in ``basis``; D is in frame coordinates when the
+        basis is expressed in the set's frame."""
+        prim, sec, c = self._space(basis)
+        return sec - prim[self.base_index], c
+
+    def overlap(self, basis: Basis, model: "SubspaceModel") -> Optional[np.ndarray]:
+        """basis.columns.T @ model.map, or None when the model has no map.
+
+        When both bases are expressed in the set's frame (the model's
+        possibly from before the last compaction, carried over by U^T), this
+        is a product of k x r coordinates, and neither n x r matrix is formed.
+        """
+        if model.basis is None and model.map is None:
+            return None
+        carried = self._carried(model.basis) if self._in_frame(basis) else None
+        if carried is not None:
+            k = min(len(carried), len(basis.coords))
+            return basis.coords[:k].T @ carried[:k]
+        q_mat = basis.coords if basis.frame is None else basis.columns
+        return q_mat.T @ model.map
+
+    def _carried(self, basis: Optional[Basis]) -> Optional[np.ndarray]:
+        """Coordinates in the current frame of a basis expressed in this set's
+        frame, now or before the last compaction; None for any other basis."""
+        if self._frame is None or basis is None or basis.frame is None:
+            return None
+        if basis.frame.base is self._frame:
+            return basis.coords
+        if self._rotation is not None and basis.frame.base is self._rotation[0]:
+            return self._rotation[1][: len(basis.coords)].T @ basis.coords
+        return None
+
+    def _basis(self, coords) -> Basis:
+        return Basis(coords) if self._frame is None else Basis(coords, self.frame)
 
     def hold_basis(self, basis: Basis) -> Basis:
-        """Hold the factor of a fresh ``orthonormal_basis(primary_directions())``.
+        """Hold the factor of a fresh ``orthonormal_basis(frame_directions())``.
 
         The factor is anchored at the base, and R is read off as the upper
         triangle of Q^T D. A basis that dropped a dependent direction is not
-        held, so the next read refactors again.
+        held, so the next read refactors again. Returns the basis expressed
+        in the set's frame.
         """
-        dirs = self.primary_directions()
-        q, b = basis.columns, self.base_index
+        dirs = self.frame_directions()
+        q, b = basis.coords, self.base_index
         qtd = q.T @ dirs.T
         if basis.rank == len(dirs):
             ids = self._ids[:b] + self._ids[b + 1 :]
-            self._factor = _Factor(q, np.triu(qtd), ids, self._ids[b], self.base)
+            anchor = self._wprimary.rows[b].copy()
+            self._factor = _Factor(q, np.triu(qtd), ids, self._ids[b], anchor)
+        if self._frame is not None:
+            basis = self._basis(q)
         self._coords = (basis, np.insert(qtd.T, b, 0.0, axis=0))
         return basis
 
@@ -264,7 +623,7 @@ class InterpolationSet:
         if f is None:
             return None
         try:
-            basis = Basis(f.q)
+            basis = self._basis(f.q)
         except ContractViolationError:
             basis = None
         if basis is None or basis.gram_error > 0.5 * BASIS_ORTHO_TOL:
@@ -276,16 +635,16 @@ class InterpolationSet:
         return basis
 
     def updated_span(self) -> Optional[np.ndarray]:
-        """Columns Q of the held factor after the pending changes, unchecked.
+        """Q of the held factor after the pending changes, unchecked, in frame coordinates.
 
         Points that left the primary set are deleted first, one
         ``scipy.linalg.qr_delete`` per run of adjacent columns; when the
         anchor itself has left, the base becomes the anchor through one
         rank-one update. New points are then inserted. Returns None, and
         drops the factor, when there is none, when no held column is left to
-        update, when there are more directions than dimensions, or when a
-        direction is dependent (SciPy rejects it, or it fails the drop rule
-        of ``orthonormal_basis``: |r_jj| <= 1e-10 ||d_j||).
+        update, when there are more directions than frame dimensions, or
+        when a direction is dependent (SciPy rejects it, or it fails the
+        drop rule of ``orthonormal_basis``: |r_jj| <= 1e-10 ||d_j||).
         """
         f = self._updated_factor()
         return None if f is None else f.q
@@ -310,6 +669,7 @@ class InterpolationSet:
         ids = self._ids
         live = set(ids)
         base_id = ids[self.base_index]
+        rows, k = self._wprimary.rows, f.q.shape[0]
         # Deletions come first: a trial direction lies in the old span. When
         # the anchor has left, the base's column goes too.
         anchor_left = f.anchor_id not in live
@@ -328,23 +688,23 @@ class InterpolationSet:
                 f.q, f.r, j, count, which="col", check_finite=False
             )
         f.ids = [i for i in f.ids if i in keep]
-        # A square Q is read as a full factorization, which keeps all n
+        # A square Q is read as a full factorization, which keeps all k
         # columns of Q; the held factor is the economic part.
         f.q, f.r = f.q[:, : len(f.ids)], f.r[: len(f.ids)]
         if anchor_left:
             # Every column y - anchor becomes y - base.
-            base = self.base
+            base = rows[self.base_index].copy()
             f.q, f.r = scipy.linalg.qr_update(
-                f.q, f.r, f.anchor - base, np.ones(len(f.ids)), check_finite=False
+                f.q, f.r, (f.anchor - base)[:k], np.ones(len(f.ids)), check_finite=False
             )
             f.anchor, f.anchor_id = base, base_id
         known = set(f.ids)
         known.add(f.anchor_id)
         new = [t for t, i in enumerate(ids) if i not in known]
-        if len(f.ids) + len(new) > len(f.anchor):
+        if len(f.ids) + len(new) > k:
             return False  # more directions than dimensions: some are dependent
         if new:
-            u = (self.primary[new] - f.anchor).T
+            u = (rows[new][:, :k] - f.anchor[:k]).T
             f.q, f.r = scipy.linalg.qr_insert(
                 f.q, f.r, u, len(f.ids), which="col", check_finite=False
             )
@@ -352,18 +712,42 @@ class InterpolationSet:
         return True
 
 
+class _ModelMap:
+    """The ``map`` field of SubspaceModel: an n x r array, or a Basis.
+
+    A model given its Basis keeps it as ``model.basis`` and reads ``map`` as
+    its columns, which a framed basis forms only then.
+    """
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            raise AttributeError("map")  # the field has no default
+        if model._map is None and model.basis is not None:
+            model._map = model.basis.columns
+        return model._map
+
+    def __set__(self, model, value):
+        if isinstance(value, Basis):
+            model.basis, model._map = value, None
+        else:
+            model.basis = None
+            model._map = None if value is None else np.atleast_2d(np.asarray(value, dtype=float))
+
+
 @dataclass
 class SubspaceModel:
     """Quadratic model c + g^T s + 0.5 s^T H s over subspace coordinates.
 
     ``base`` and ``map`` locate the subspace in full space (x = base + map @ s);
-    both may be None for a pure coordinate-space model. Non-finite
-    coefficients raise ModelConstructionError. ``eig`` is cached, so the
-    Hessian must not be changed in place after it is read.
+    both may be None for a pure coordinate-space model. ``map`` may be given
+    as a Basis (kept as ``basis``), whose columns are then formed only when
+    ``map`` is read. Non-finite coefficients raise ModelConstructionError.
+    ``eig`` is cached, so the Hessian must not be changed in place after it
+    is read.
     """
 
     base: Optional[np.ndarray]
-    map: Optional[np.ndarray]
+    map: Optional[np.ndarray] = _ModelMap()
     constant: float
     gradient: np.ndarray
     hessian: np.ndarray
@@ -378,8 +762,6 @@ class SubspaceModel:
         self.constant = float(self.constant)
         if self.base is not None:
             self.base = np.asarray(self.base, dtype=float)
-        if self.map is not None:
-            self.map = np.atleast_2d(np.asarray(self.map, dtype=float))
 
     @property
     def dim(self) -> int:
@@ -410,8 +792,8 @@ def project_secondary(iset: InterpolationSet, basis: Basis):
     """Subspace coordinates Q^T (y - base) and cached values of secondary points."""
     if not len(iset.secondary):
         return []
-    coords = (iset.secondary - iset.base) @ basis.columns
-    return list(zip(coords, iset.secondary_values))
+    diffs, q_mat = iset.secondary_offsets(basis)
+    return list(zip(diffs @ q_mat, iset.secondary_values))
 
 
 @cache
@@ -488,7 +870,6 @@ def build_mfn_model(
     first; ``run_rsdfoq`` falls back to it when the secondary points make the
     system degenerate.
     """
-    q_mat = basis.columns
     r = basis.rank
     base = iset.base
     coords = iset.primary_coords(basis)
@@ -500,7 +881,7 @@ def build_mfn_model(
         coords = coords[order]
         values = [iset.primary_values[i] for i in order]
     if use_secondary and len(iset.secondary):
-        diffs = iset.secondary - base
+        diffs, q_mat = iset.secondary_offsets(basis)
         sec = diffs @ q_mat
         if max_residual is not None:
             res2 = np.einsum("ij,ij->i", diffs, diffs) - np.einsum("ij,ij->i", sec, sec)
@@ -530,10 +911,10 @@ def build_mfn_model(
         raise ModelConstructionError(f"need at least {r + 1} distinct points, have {m}")
 
     # Reference Hessian: previous model Hessian carried into the new subspace.
-    if prev is None or prev.map is None:
+    cross = None if prev is None else iset.overlap(basis, prev)
+    if cross is None:
         h_ref = np.zeros((r, r))
     else:
-        cross = q_mat.T @ prev.map
         h_ref = cross @ prev.hessian @ cross.T
         h_ref = 0.5 * (h_ref + h_ref.T)
 
@@ -564,7 +945,7 @@ def build_mfn_model(
     if kkt_res > KKT_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
         raise ModelConstructionError(f"MFN KKT residual {kkt_res:.3e} too large")
 
-    model = SubspaceModel(base, q_mat, const, grad_s / dbar, h_s / dbar**2)
+    model = SubspaceModel(base, basis, const, grad_s / dbar, h_s / dbar**2)
     vals = np.asarray(values)
     pred = const + u @ grad_s + 0.5 * np.einsum("ij,ij->i", u @ h_s, u)
     if np.any(np.abs(pred - vals) > INTERP_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))):

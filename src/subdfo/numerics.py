@@ -7,6 +7,8 @@ hundred rows, backed by NumPy/SciPy dense routines.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
@@ -22,43 +24,64 @@ SADDLE_RESIDUAL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Basis:
-    """Orthonormal basis of a subspace, stored as the columns of an n x r matrix.
+    """Orthonormal basis of a subspace of R^n: the columns of an n x r matrix.
 
-    ``gram_error`` is the measured max |Q^T Q - I|, at most BASIS_ORTHO_TOL.
+    ``coords`` holds the columns themselves, or, when ``frame`` is given,
+    their coordinates in it: ``frame`` is a k x n array whose rows are
+    orthonormal, and the columns are ``frame.T @ coords``. A framed basis
+    forms its n x r columns only when ``columns`` is read; ``lift`` and
+    ``project_coords`` go through the frame without forming them.
+
+    ``gram_error`` is the measured max |C^T C - I| of the coords C, at most
+    BASIS_ORTHO_TOL.
     """
 
-    columns: np.ndarray
+    coords: np.ndarray
+    frame: Optional[np.ndarray] = None
     gram_error: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.columns, dtype=float))
+        q = np.atleast_2d(np.asarray(self.coords, dtype=float))
         if q.ndim != 2 or q.shape[1] == 0:
             raise ContractViolationError("basis must have at least one column")
         if not np.all(np.isfinite(q)):
             raise ContractViolationError("basis columns must be finite")
+        if self.frame is not None and self.frame.shape[0] != q.shape[0]:
+            raise ContractViolationError("basis coordinates do not match the frame")
         gram_err = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
         if gram_err > BASIS_ORTHO_TOL:
             raise ContractViolationError(
                 f"basis columns not orthonormal (max |Q^T Q - I| = {gram_err:.3e})"
             )
-        object.__setattr__(self, "columns", q)
+        object.__setattr__(self, "coords", q)
         object.__setattr__(self, "gram_error", float(gram_err))
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """The n x r columns; for a framed basis an n x k x r product, formed once."""
+        if self.frame is None:
+            return self.coords
+        return self.frame.T @ self.coords
 
     @property
     def dim(self) -> int:
-        return self.columns.shape[0]
+        return self.coords.shape[0] if self.frame is None else self.frame.shape[1]
 
     @property
     def rank(self) -> int:
-        return self.columns.shape[1]
+        return self.coords.shape[1]
 
     def project_coords(self, vec: np.ndarray) -> np.ndarray:
         """Coordinates Q^T v of a full-space vector in this basis."""
-        return self.columns.T @ vec
+        if self.frame is None:
+            return self.coords.T @ vec
+        return self.coords.T @ (self.frame @ vec)
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
         """Full-space vector Q s from subspace coordinates."""
-        return self.columns @ coords
+        if self.frame is None:
+            return self.coords @ coords
+        return self.frame.T @ (self.coords @ coords)
 
 
 def orthonormal_basis(vectors) -> Basis:
@@ -71,9 +94,11 @@ def orthonormal_basis(vectors) -> Basis:
     factorization redone without it). Raises EmptyBasisError when nothing
     survives.
 
-    This is the from-scratch path. ``run_rsdfoq`` calls it for its first
-    basis and whenever the factor its interpolation set holds cannot be
-    updated (``InterpolationSet.updated_basis``). Every other basis comes
+    This is the from-scratch path. ``run_rsdfoq`` calls it, on the primary
+    directions in the interpolation set's frame coordinates
+    (``InterpolationSet.frame_directions``), for its first basis and
+    whenever the factor the set holds cannot be updated
+    (``InterpolationSet.updated_basis``). Every other basis comes
     from that factor: anchored at one primary point, brought up to date by
     ``scipy.linalg`` QR deletions, insertions and, when the anchor leaves,
     one rank-one update, and extended by the known orthogonal directions of

@@ -14,7 +14,10 @@ class RunRecord:
 
     ``trace`` holds (evaluation index, best objective so far) pairs recorded
     whenever the best value improved; indices are strictly increasing and the
-    best values nonincreasing.
+    best values nonincreasing. ``error`` says why an ``"error"`` run ended:
+    the solver's own reason, or ``"Type: message"`` of an exception that
+    ``run_campaign`` caught; it is empty for every other run and is stored
+    only when it is not.
     """
 
     problem: str
@@ -25,6 +28,7 @@ class RunRecord:
     wall_time: float = 0.0
     termination: str = "budget"
     total_evals: int = 0
+    error: str = ""
 
     def __post_init__(self):
         if self.termination not in TERMINATIONS:
@@ -52,6 +56,8 @@ class RunRecord:
             "termination": self.termination,
             "total_evals": self.total_evals,
         }
+        if self.error:
+            d["error"] = self.error
         if include_wall_time:
             d["wall_time"] = self.wall_time
         return d
@@ -67,4 +73,5 @@ class RunRecord:
             float(d.get("wall_time", 0.0)),
             d["termination"],
             int(d.get("total_evals", 0)),
+            d.get("error", ""),
         )

@@ -15,7 +15,6 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     ContractViolationError,
@@ -164,7 +163,8 @@ class _TracedObjective:
     best-value trace; non-finite values are mapped to +inf, except a
     non-finite first value, which ends the run as "error". Used as a context
     manager around the whole run, it turns every ``_Stop`` and every
-    model/basis failure into the run's termination and builds ``record``.
+    model/basis failure into the run's termination and builds ``record``;
+    an ``"error"`` run keeps its reason in ``record.error``.
     """
 
     def __init__(self, problem, config: SolverConfig, solver: str):
@@ -220,6 +220,7 @@ class _TracedObjective:
             wall_time=time.perf_counter() - self.t_start,
             termination=err.termination,
             total_evals=self.count,
+            error=str(err) if err.termination == "error" else "",
         )
         return True
 
@@ -315,8 +316,9 @@ def add_orthogonal_points(
 
     Directions are mutually orthonormal and orthogonal to the span of the
     existing primary offsets from the base point, taken from the set's held
-    factor; each new point is evaluated and cached, and its direction joins
-    the factor as a known column. When a value comes back non-finite, the
+    factor (``InterpolationSet.draw_orthogonal``, which also extends the
+    set's frame); each new point is evaluated and cached, and its direction
+    joins the factor as a known column. When a value comes back non-finite, the
     same direction is retried on the other side of the base and then at half
     and a quarter of the distance (every retry is an evaluation); a direction
     with no finite value is not added.
@@ -326,20 +328,15 @@ def add_orthogonal_points(
     if count == 0:
         return
     n = iset.base.shape[0]
-    span = iset.updated_span() if len(iset.primary) > 1 else np.zeros((n, 0))
+    span = iset.updated_span() if len(iset.primary) > 1 else np.zeros((iset.frame_dim, 0))
     if span is None:
-        span = iset.hold_basis(orthonormal_basis(iset.primary_directions())).columns
+        span = iset.hold_basis(orthonormal_basis(iset.frame_directions())).coords
     if span.shape[1] + count > n:
         raise ContractViolationError(
             "subspace span already full-dimensional; cannot add orthogonal directions"
         )
 
-    draws = rng.standard_normal((count, n)).T
-    for _ in range(2):
-        draws -= span @ (span.T @ draws)
-    frame, r = scipy.linalg.qr(draws, mode="economic", overwrite_a=True, check_finite=False)
-    if np.any(np.abs(np.diag(r)) <= 1e-8):
-        raise ContractViolationError("failed to draw orthogonal directions")
+    frame, coords = iset.draw_orthogonal(rng.standard_normal((count, n)).T, span)
 
     base = iset.base
     added, lengths, values = [], [], []
@@ -352,7 +349,7 @@ def add_orthogonal_points(
                 lengths.append(length)
                 values.append(val)
                 break
-    iset.add_orthogonal(frame[:, added], lengths, values)
+    iset.add_orthogonal(frame[:, added], lengths, values, coords[:, added])
 
 
 def _run_prototype(
@@ -495,7 +492,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
             # is called by name here and in add_orthogonal_points:
             # perfbench/tracing.py times it there.
             basis = iset.updated_basis() or iset.hold_basis(
-                orthonormal_basis(iset.primary_directions())
+                orthonormal_basis(iset.frame_directions())
             )
             try:
                 model = build_mfn_model(
@@ -554,7 +551,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                     # Full space: one point, scored at the tentative step,
                     # is demoted before the trial point joins.
                     remove_single_point(iset, basis, step, delta)
-                if math.isfinite(f_trial) and not iset.contains_primary(trial):
+                if math.isfinite(f_trial) and not iset.contains_primary(trial, result.step):
                     iset.add_primary(trial, f_trial, coords=result.step)
                     if accepted:  # the trial lies below the base, the minimum
                         iset.recenter_to_best()

@@ -161,6 +161,30 @@ class TestCampaign:
         assert "ContractViolationError" in failure.getMessage()
         assert "exceeds problem dimension" in failure.getMessage()
 
+    def test_raising_run_keeps_its_error_text(self, tmp_path):
+        # The exception's type and message are kept in the record and in the
+        # store; a run that did not fail stores no error field at all.
+        records = run_campaign(
+            [("sphere", 4)],
+            [SolverSpec("bad", "rsdfoq", {"p": 10}), SolverSpec("ok", "rsdfoq", {"p": 2})],
+            seeds=1,
+            budget_multiplier=5.0,
+            time_cap=None,
+            out_dir=tmp_path,
+            master_seed=0,
+        )
+        by_name = {r.solver: r for r in records}
+        assert by_name["bad"].error == "ContractViolationError: p=10 exceeds problem dimension n=4"
+        assert by_name["ok"].error == ""
+        lines = (tmp_path / "records.jsonl").read_text().splitlines()
+        stored = {d["solver"]: d for d in map(json.loads, lines)}
+        assert stored["bad"]["error"] == by_name["bad"].error
+        assert "error" not in stored["ok"]
+        assert {r.solver: r.error for r in load_records(tmp_path)} == {
+            "bad": by_name["bad"].error,
+            "ok": "",
+        }
+
     def test_profiles_from_records(self, tmp_path):
         records = run_campaign(
             [("sphere", 6)],

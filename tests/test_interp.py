@@ -151,19 +151,26 @@ class TestStackedStorage:
         assert [list(y) for y in iset.primary] == [[0.0, 0.0], [0.0, 1.0]]
 
 
-def held_factor_errors(iset, basis):
-    """(min principal-angle cosine against a fresh orthonormal_basis, max
-    |Q^T Q - I|, ||D - QR|| / ||D||) of the factor the set holds, with D the
-    offsets of the primary points from the factor's anchor, in the factor's
-    column order."""
+def lifted_factor(iset):
+    """F @ Q of the factor the set holds: its columns in full space."""
     f = iset._factor
-    assert f is not None and np.shares_memory(f.q, basis.columns)
-    rows = dict(zip(iset._ids, iset.primary))
+    return f.q if iset.frame is None else iset.frame.T @ f.q
+
+
+def held_factor_errors(iset, basis):
+    """(min principal-angle cosine of F Q against a fresh full-space
+    orthonormal_basis, max |(FQ)^T FQ - I|, ||D - QR|| / ||D||) of the factor
+    the set holds, with D the offsets of the primary points from the
+    factor's anchor in frame coordinates, in the factor's column order."""
+    f = iset._factor
+    assert f is not None and np.shares_memory(f.q, basis.coords)
+    q = lifted_factor(iset)
+    rows = dict(zip(iset._ids, iset.primary_frame_coords))
     d = np.array([rows[i] - rows[f.anchor_id] for i in f.ids]).T
     fresh = orthonormal_basis(iset.primary_directions()).columns
-    cosines = np.linalg.svd(fresh.T @ f.q, compute_uv=False)
-    assert fresh.shape == f.q.shape
-    gram = np.max(np.abs(f.q.T @ f.q - np.eye(f.q.shape[1])))
+    cosines = np.linalg.svd(fresh.T @ q, compute_uv=False)
+    assert fresh.shape == q.shape
+    gram = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
     return cosines.min(), gram, np.linalg.norm(d - f.q @ f.r) / np.linalg.norm(d)
 
 
@@ -299,6 +306,73 @@ class TestHeldFactor:
         iset._factor.q = iset._factor.q * np.array([1.0 + 0.35 * BASIS_ORTHO_TOL, 1, 1, 1, 1])
         assert 0.5 * BASIS_ORTHO_TOL < Basis(iset._factor.q).gram_error <= BASIS_ORTHO_TOL
         assert iset.updated_basis() is None
+
+
+class TestFramedSet:
+    def test_scripted_steps_keep_points_in_the_frame(self):
+        # n > 2q: every point is o + F w. Points without coordinates are
+        # projected on the frame and extend it when they lie off its span;
+        # points near the held span join with subspace coordinates; more
+        # than q stored points widen the frame's buffer. Reads pass the
+        # factor checks, and the frame stays orthonormal.
+        n, p, q = 40, 3, 7
+        rng = np.random.default_rng(4)
+        x0 = rng.standard_normal(n)
+        iset = InterpolationSet(x0, 0.0, p, q)
+        assert iset.frame is not None and len(iset.frame) == 0
+        plane = np.linalg.qr(rng.standard_normal((n, 5)))[0]
+        for _ in range(p):
+            iset.add_primary(x0 + plane @ rng.standard_normal(5), float(rng.standard_normal()))
+        reads = 0
+        for step in range(300):
+            kind = int(rng.integers(5))
+            if kind == 0 and len(iset.primary) < p + 6:
+                off = rng.standard_normal(n) if rng.uniform() < 0.5 else plane @ rng.standard_normal(5)
+                iset.add_primary(x0 + off, float(rng.standard_normal()))
+            elif kind == 1 and len(iset.primary) > 2:
+                choices = [i for i in range(len(iset.primary)) if i != iset.base_index]
+                iset.move_to_secondary(int(rng.choice(choices)))
+            elif kind == 2:
+                iset.primary_values[int(rng.integers(len(iset.primary)))] -= 1.0
+                iset.recenter_to_best()
+            elif len(iset.primary) > 1:
+                basis = iset.updated_basis()
+                if basis is None:
+                    basis = iset.hold_basis(orthonormal_basis(iset.frame_directions()))
+                reads += 1
+                direct = (iset.primary - iset.base) @ basis.columns
+                assert np.max(np.abs(iset.primary_coords(basis) - direct)) <= 1e-12 * max(
+                    1.0, float(np.max(np.linalg.norm(direct, axis=1)))
+                ), step
+                if iset._factor is not None:
+                    cos_min, gram, resid = held_factor_errors(iset, basis)
+                    assert cos_min >= 1 - 1e-10 and gram <= BASIS_ORTHO_TOL and resid <= 1e-12, step
+                if kind == 4 and len(iset.primary) < p + 6:
+                    s_hat = 0.1 * rng.standard_normal(basis.rank)
+                    trial = iset.base + basis.lift(s_hat)
+                    assert not iset.contains_primary(trial, s_hat)
+                    iset.add_primary(trial, float(rng.standard_normal()), coords=s_hat)
+                    assert iset.contains_primary(trial, s_hat)
+            self._check(iset, step)
+        assert reads > 40
+        assert iset._rotation is not None  # compacted at least once
+        # More stored points than the frame's width: its buffer widens.
+        iset = InterpolationSet(x0, 0.0, 1, 3)
+        for step in range(6):
+            iset.add_primary(rng.standard_normal(n), 0.0)
+            self._check(iset, step)
+        assert len(iset.frame) == 6 > 3 * 3 // 2
+
+    @staticmethod
+    def _check(iset, step):
+        pts = np.vstack([iset.primary, iset.secondary])
+        coords = np.vstack([iset.primary_frame_coords, iset.secondary_frame_coords])
+        resid = iset.origin + coords @ iset.frame - pts
+        assert np.max(np.linalg.norm(resid, axis=1)) <= 1e-12 * max(
+            1.0, float(np.max(np.linalg.norm(pts, axis=1)))
+        ), step
+        f = iset.frame
+        assert np.max(np.abs(f @ f.T - np.eye(len(f))), initial=0.0) <= BASIS_ORTHO_TOL, step
 
 
 class TestProjectSecondary:

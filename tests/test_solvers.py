@@ -277,10 +277,26 @@ def test_run_lifecycle_ends_every_run_with_a_record(solver, monkeypatch, caplog)
     assert warnings() == ["run aborted: injected model failure"]
 
 
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_error_run_keeps_its_reason(solver):
+    # An "error" run keeps its reason in the record and in its stored form;
+    # any other run stores no error field, so its bytes do not change.
+    prob = Problem("inf_at_x0", 4, lambda x: math.inf, None, None, np.zeros(4), 0.0)
+    rec = SOLVERS[solver](prob, SolverConfig(p=2, seed=0, max_evals=50))
+    assert rec.termination == "error"
+    assert rec.error == "objective is inf at the starting point"
+    assert rec.to_dict(include_wall_time=False)["error"] == rec.error
+    assert RunRecord.from_dict(rec.to_dict()) == rec
+    ok = SOLVERS[solver](make_problem("sphere", 4), SolverConfig(p=2, seed=0, max_evals=30))
+    assert ok.termination != "error" and ok.error == ""
+    assert "error" not in ok.to_dict()
+
+
 def _timed_out(signum, frame):
     raise TimeoutError("run did not return within its alarm")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e300, 1e200])
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
 def test_overflowing_objective_ends_with_a_record(solver, scale):
@@ -580,7 +596,9 @@ class TestRunRsdfoq:
 
     def test_held_factor_matches_a_fresh_factorization(self, monkeypatch):
         # After every iteration's changes, the basis the solver reads is the
-        # held factor, and it agrees with factoring the directions afresh.
+        # held factor, and its columns F Q agree with factoring the
+        # full-space directions afresh; Q R reproduces the offsets in frame
+        # coordinates.
         from subdfo.interp import build_mfn_model as real_build
 
         checked = 0
@@ -588,13 +606,14 @@ class TestRunRsdfoq:
         def probe(iset, basis, prev=None, **kwargs):
             nonlocal checked
             f = iset._factor
-            assert f is not None and np.shares_memory(f.q, basis.columns)
-            rows = dict(zip(iset._ids, iset.primary))
+            assert f is not None and np.shares_memory(f.q, basis.coords)
+            q = f.q if iset.frame is None else iset.frame.T @ f.q
+            rows = dict(zip(iset._ids, iset.primary_frame_coords))
             d = np.array([rows[i] - rows[f.anchor_id] for i in f.ids]).T
             fresh = orthonormal_basis(iset.primary_directions()).columns
-            assert fresh.shape == f.q.shape
-            assert np.linalg.svd(fresh.T @ f.q, compute_uv=False).min() >= 1 - 1e-10
-            assert np.max(np.abs(f.q.T @ f.q - np.eye(f.q.shape[1]))) <= BASIS_ORTHO_TOL
+            assert fresh.shape == q.shape
+            assert np.linalg.svd(fresh.T @ q, compute_uv=False).min() >= 1 - 1e-10
+            assert np.max(np.abs(q.T @ q - np.eye(q.shape[1]))) <= BASIS_ORTHO_TOL
             assert np.linalg.norm(d - f.q @ f.r) <= 1e-12 * np.linalg.norm(d)
             checked += 1
             return real_build(iset, basis, prev=prev, **kwargs)
@@ -859,3 +878,126 @@ class TestRunRsdfoq:
         cfg = SolverConfig(p=5, seed=6, max_evals=10**6, max_time=0.3)
         rec = run_rsdfoq(prob, cfg)
         assert rec.termination == "time"
+
+
+def frame_errors(iset):
+    """(max ||o + F w - x|| / max(1, ||x||) over the stored points, max |F F^T - I|)."""
+    pts = np.vstack([iset.primary, iset.secondary])
+    coords = np.vstack([iset.primary_frame_coords, iset.secondary_frame_coords])
+    scale = np.maximum(1.0, np.linalg.norm(pts, axis=1))
+    f = iset.frame
+    resid = iset.origin + coords @ f - pts
+    return np.max(np.linalg.norm(resid, axis=1) / scale), np.max(
+        np.abs(f @ f.T - np.eye(len(f))), initial=0.0
+    )
+
+
+class TestFrame:
+    # Subspaces whose frame is grown and compacted (n > 2q), and p == n,
+    # whose frame is the identity.
+    RUNS = (
+        [(30, 5, 11, s) for s in range(3)]
+        + [(200, 10, 21, s) for s in range(3)]
+        + [(6, 6, 28, s) for s in range(3)]
+    )
+
+    @staticmethod
+    def _record_sets(monkeypatch):
+        sets = []
+
+        class Recorded(InterpolationSet):
+            def __init__(self, *args):
+                super().__init__(*args)
+                sets.append(self)
+
+        monkeypatch.setattr(solvers_mod, "InterpolationSet", Recorded)
+        return sets
+
+    @pytest.mark.parametrize("n, p, q, seed", RUNS)
+    def test_frame_holds_every_point(self, monkeypatch, n, p, q, seed):
+        # After each iteration every stored point is o + F w, and F stays
+        # orthonormal and within 3q/2 rows through every extension and
+        # compaction. The identity frame's coordinates are the points.
+        sets = self._record_sets(monkeypatch)
+        changes = {"_extend": 0, "_compact": 0}
+
+        def checked(name):
+            real = getattr(InterpolationSet, name)
+
+            def wrapper(iset, *args):
+                out = real(iset, *args)
+                assert frame_errors(iset)[1] <= BASIS_ORTHO_TOL, name
+                assert len(iset.frame) <= 3 * q // 2
+                changes[name] += 1
+                return out
+
+            return wrapper
+
+        for name in changes:
+            monkeypatch.setattr(InterpolationSet, name, checked(name))
+        iterations = []
+
+        def hook(k, x):
+            [iset] = sets
+            iterations.append(k)
+            if iset.frame is None:
+                assert np.shares_memory(iset.primary_frame_coords, iset.primary)
+                assert np.array_equal(iset.primary_frame_coords, iset.primary)
+                assert np.array_equal(iset.secondary_frame_coords, iset.secondary)
+                assert not iset.origin.any()
+                return
+            point_err, gram = frame_errors(iset)
+            assert point_err <= 1e-12, k
+            assert gram <= BASIS_ORTHO_TOL, k
+            assert len(iset.frame) <= 3 * q // 2, k
+
+        prob = make_problem("chained_rosenbrock", n)
+        run_rsdfoq(prob, SolverConfig(p=p, q=q, seed=seed, max_evals=300), iterate_hook=hook)
+        assert len(iterations) > 20
+        if n > 2 * q:
+            assert changes["_extend"] >= len(iterations) // 2
+            assert changes["_compact"] > 0
+        else:
+            assert sets[0].frame is None
+            assert changes == {"_extend": 0, "_compact": 0}
+
+    @pytest.mark.parametrize("n, p, q, seed", RUNS)
+    def test_no_full_space_basis_is_formed(self, monkeypatch, n, p, q, seed):
+        # A framed basis forms its n x p columns only when they are read;
+        # nothing in a run reads them.
+        sets = self._record_sets(monkeypatch)
+        real = Basis.columns
+        formed = []
+
+        def spy(basis):
+            if basis.frame is not None:
+                formed.append(basis.coords.shape)
+            return real.func(basis)
+
+        monkeypatch.setattr(Basis, "columns", property(spy))
+        prob = make_problem("chained_rosenbrock", n)
+        run_rsdfoq(prob, SolverConfig(p=p, q=q, seed=seed, max_evals=300))
+        assert (sets[0].frame is not None) == (n > 2 * q)
+        assert formed == []
+
+    @pytest.mark.parametrize("n, p, q, seed", RUNS[:6])
+    def test_overlap_matches_the_full_space_product(self, monkeypatch, n, p, q, seed):
+        # The reference-Hessian cross term, formed from frame coordinates and
+        # carried through compactions, is Q^T Q_prev of the full-space bases.
+        from subdfo.interp import build_mfn_model as real_build
+
+        checked = 0
+
+        def probe(iset, basis, prev=None, **kwargs):
+            nonlocal checked
+            if prev is not None:
+                cross = iset.overlap(basis, prev)
+                direct = basis.columns.T @ prev.map
+                assert np.max(np.abs(cross - direct)) <= 1e-12
+                checked += 1
+            return real_build(iset, basis, prev=prev, **kwargs)
+
+        monkeypatch.setattr(solvers_mod, "build_mfn_model", probe)
+        prob = make_problem("chained_rosenbrock", n)
+        run_rsdfoq(prob, SolverConfig(p=p, q=q, seed=seed, max_evals=300))
+        assert checked > 20
