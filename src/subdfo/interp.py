@@ -22,7 +22,7 @@ from .exceptions import (
     ModelConstructionError,
     SingularSystemError,
 )
-from .numerics import BASIS_ORTHO_TOL, Basis, check_symmetric, solve_saddle_system
+from .numerics import Basis, check_symmetric, solve_saddle_system
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -127,23 +127,6 @@ def _offsets(pts, b: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class _Factor:
-    """Economic QR factor ``q @ r`` of primary offsets from an anchor.
-
-    Column j of ``q @ r`` is the offset of the primary point with id
-    ``ids[j]`` from ``anchor``, a copy of the frame coordinates of the
-    primary point with id ``anchor_id``; ``q`` has one row per frame
-    direction. ``ids`` lists the other primary points in stored order.
-    """
-
-    q: np.ndarray
-    r: np.ndarray
-    ids: list
-    anchor_id: int
-    anchor: np.ndarray
-
-
 class InterpolationSet:
     """Primary and secondary interpolation points with cached values.
 
@@ -166,14 +149,14 @@ class InterpolationSet:
     take k past the frame's width of 3q/2, the frame is first rebuilt on the
     hull of the stored points, at most q - 1 directions (a compaction).
 
-    The set can hold a QR factor of its primary directions in frame
-    coordinates (see ``updated_basis`` and ``hold_basis``). The factor is
-    anchored at one primary point, not at the base: while that point stays
-    in the set, a moved base leaves the factor as it is. Changes to the
-    primary set are applied to it only when it is next read. The set also
-    keeps the subspace coordinates of its primary points in the basis it
-    last returned, through later demotions and points added with known
-    coordinates (``primary_coords``).
+    The set can hold an orthonormal factor Q of its primary directions in
+    frame coordinates (``hold_basis``), read as a Basis by ``held_basis``.
+    The directions drawn orthogonal to it join it as known columns
+    (``add_orthogonal``); any other change to the primary set makes it
+    stale. A moved base leaves it as it is: the offsets from any primary
+    point span the same space. The set also keeps the subspace coordinates
+    of its primary points in the basis it last returned, through later
+    demotions and points added with known coordinates (``primary_coords``).
     """
 
     def __init__(self, base, base_value: float, p: int, q: int):
@@ -189,13 +172,11 @@ class InterpolationSet:
         self.base_index = 0
         self._secondary = _RowStack(n, 2 * self.secondary_capacity)
         self.secondary_values = []
-        # A distinct id per primary point, in stored order; the held factor
-        # names its columns by these ids.
-        self._ids = [0]
-        self._next_id = 1
-        self._factor: Optional[_Factor] = None
+        # Q of the held factor in frame coordinates; None when stale.
+        self._held: Optional[np.ndarray] = None
         # (basis, z): row t of z is Q^T (primary[t] - o) for one fixed origin
-        # o, with Q = basis.columns.
+        # o, with Q = basis.columns; basis is None for a held factor that
+        # has not been read yet.
         self._coords: Optional[tuple] = None
         if n <= 2 * self.q:
             # The identity frame: the frame coordinates are the points.
@@ -266,8 +247,6 @@ class InterpolationSet:
         if self._frame is not None:
             self._wprimary.append(w)
         self.primary_values.append(float(value))
-        self._ids.append(self._next_id)
-        self._next_id += 1
 
     def add_primary(self, point, value: float, coords=None):
         """Add a primary point.
@@ -277,8 +256,9 @@ class InterpolationSet:
         point is base + Q coords); they keep ``primary_coords`` free of
         products with Q and give the point's frame coordinates in O(kp).
         A point without them is projected on the frame, which it extends
-        when it lies off the frame's span.
+        when it lies off the frame's span. The held factor becomes stale.
         """
+        self._held = None
         w = None
         if self._frame is not None:
             w, res = self._locate(point, coords)
@@ -318,23 +298,24 @@ class InterpolationSet:
             w[: self._k] += c
         return w, res
 
-    def draw_orthogonal(self, draws: np.ndarray, span: np.ndarray):
-        """Orthonormal directions from the n x c Gaussian ``draws``, orthogonal to ``span``.
+    def draw_orthogonal(self, draws: np.ndarray):
+        """Orthonormal directions from the n x c Gaussian ``draws``, orthogonal to the held factor.
 
-        ``span`` is the held factor's Q in frame coordinates. Returns the
-        directions and their frame coordinates; the two are the same for the
-        identity frame, where the draws get two projection passes and a QR
-        factorization in full space. Otherwise the frame is first compacted
-        if c more directions would not fit, and three passes over F do the
-        rest: the draws' frame coordinates; the residuals off the frame,
-        together with the lift of the part the projection removes; and a
-        check, which repeats the residuals' projection only when an entry
-        of |F res| exceeds FRAME_ORTHO_TOL ||res||. The residuals,
-        orthonormalized through their c x c Gram matrix, extend the frame.
-        The projection against ``span`` and the orthonormalization, again
-        through the Gram matrix, run on the (k + c) x c coordinates.
+        Returns the directions and their frame coordinates; the two are the
+        same for the identity frame, where the draws get two projection
+        passes and a QR factorization in full space. Otherwise the frame is
+        first compacted if c more directions would not fit, and three passes
+        over F do the rest: the draws' frame coordinates; the residuals off
+        the frame, together with the lift of the part the projection
+        removes; and a check, which repeats the residuals' projection only
+        when an entry of |F res| exceeds FRAME_ORTHO_TOL ||res||. The
+        residuals, orthonormalized through their c x c Gram matrix, extend
+        the frame. The projection against the held factor and the
+        orthonormalization, again through the Gram matrix, run on the
+        (k + c) x c coordinates.
         """
         if self._frame is None:
+            span = self._held
             for _ in range(2):
                 draws -= span @ (span.T @ draws)
             out, r = scipy.linalg.qr(draws, mode="economic", overwrite_a=True, check_finite=False)
@@ -342,10 +323,8 @@ class InterpolationSet:
                 raise ContractViolationError("failed to draw orthogonal directions")
             return out, out
         c = draws.shape[1]
-        rotation = self._rotation
         self._make_room(c)
-        if self._rotation is not rotation:
-            span = self._rotation[1][: len(span)].T @ span
+        span = self._held
         # Row layout: products of the form (few rows) @ F stream F fastest.
         f, rows = self.frame, draws.T
         coords = rows @ f.T
@@ -369,41 +348,35 @@ class InterpolationSet:
         v, t = _orthonormal_rows(np.hstack([coords - y.T @ span.T, tri.T]))
         return (np.linalg.inv(t).T @ (rows - lifted[c:])).T, v.T
 
-    def add_orthogonal(self, directions: np.ndarray, lengths, values, coords=None):
+    def add_orthogonal(self, directions: np.ndarray, lengths, values, coords: np.ndarray):
         """Add the points base + lengths[j] * directions[:, j] with their values.
 
-        ``directions`` and ``coords`` are orthonormal columns from
-        ``draw_orthogonal``: the directions, orthogonal to the span of the
-        held factor, and their frame coordinates (needed only for a
-        non-identity frame), so the new points' frame coordinates are the
-        base's plus lengths[j] coords[:, j]. When the factor has no pending
-        change, the coordinates are appended to it as they are: R gains the
-        base's column above a diagonal of ``lengths``. The next
-        ``updated_basis`` checks them with the rest.
+        ``directions`` and ``coords`` are the orthonormal columns from
+        ``draw_orthogonal``: the directions, orthogonal to the held factor,
+        and their frame coordinates, so the new points' frame coordinates
+        are the base's plus lengths[j] coords[:, j]. The coordinates join
+        the held factor as known columns, and new point j's subspace
+        coordinates are the base's plus lengths[j] along column j of them.
+        The next ``held_basis`` checks them with the rest.
         """
-        f, base_id = self._factor, self._ids[self.base_index]
-        current = f is not None and set(self._ids) == set(f.ids) | {f.anchor_id}
-        m = len(lengths)
         base = self.base
-        known = directions if self._frame is None else coords
         if self._frame is not None:
             wbase = self._wprimary.rows[self.base_index].copy()
         for j, (length, value) in enumerate(zip(lengths, values)):
             w = None
             if self._frame is not None:
                 w = wbase.copy()
-                w[: len(known)] += length * known[:, j]
+                w[: len(coords)] += length * coords[:, j]
             self._push(base + length * directions[:, j], value, w)
-        self._coords = None
-        if current and m:
-            h = len(f.ids)
-            r = np.zeros((h + m, h + m))
-            r[:h, :h] = f.r
-            if base_id != f.anchor_id:
-                r[:h, h:] = f.r[:, f.ids.index(base_id), None]
-            r[h:, h:] = np.diag(lengths)
-            f.q, f.r = np.hstack([f.q, known]), r
-            f.ids += self._ids[-m:]
+        # The old points have no part along the new columns.
+        z, m = self._coords[1], len(lengths)
+        h = z.shape[1]
+        grown = np.zeros((len(z) + m, h + m))
+        grown[: len(z), :h] = z
+        grown[len(z) :, :h] = z[self.base_index]
+        grown[len(z) :, h:] = np.diag(lengths)
+        self._held = np.hstack([self._held, coords])
+        self._coords = (None, grown)
 
     def _make_room(self, c: int):
         """Compact the frame when c more directions would not fit in its buffer."""
@@ -420,9 +393,8 @@ class InterpolationSet:
         k = self._k
         self._frame[k : k + c] = directions.T
         self._k = k + c
-        f = self._factor
-        if f is not None and c:
-            f.q = np.vstack([f.q, np.zeros((c, f.q.shape[1]))])
+        if self._held is not None and c:
+            self._held = np.vstack([self._held, np.zeros((c, self._held.shape[1]))])
         return k
 
     def _compact(self, room: int):
@@ -431,15 +403,13 @@ class InterpolationSet:
         The base becomes the origin. With the offsets of the other points
         from it factored as U R in the old frame coordinates, the new frame
         is F U and the points' new coordinates are the columns of R. The
-        held factor's Q becomes U^T Q when it has no pending change (its
-        columns then lie in the hull), and is dropped otherwise. A basis
-        expressed in the old frame is carried over by U^T (``overlap``).
+        held factor's Q, whose columns lie in the hull, becomes U^T Q; the
+        recorded subspace coordinates stay as they are. A basis expressed
+        in the old frame is carried over by U^T (``overlap``).
         The buffer is widened when ``room`` more directions would still not
         fit, which happens only when more than q points are stored.
         """
         k, b, n = self._k, self.base_index, self._frame.shape[1]
-        f = self._factor
-        current = f is not None and set(self._ids) == set(f.ids) | {f.anchor_id}
         prim, sec = self._wprimary.rows, self._wsecondary.rows
         wbase = prim[b, :k].copy()
         offsets = np.vstack([prim[:b, :k], prim[b + 1 :, :k], sec[:, :k]]) - wbase
@@ -463,11 +433,8 @@ class InterpolationSet:
         self._rotation = (self._frame, u)
         self._frame, self._k = frame, width
         self._origin = self.base
-        if current:
-            f.q = u.T @ f.q
-            f.anchor = prim[self._ids.index(f.anchor_id)].copy()
-        else:
-            self._factor = None
+        if self._held is not None:
+            self._held = u.T @ self._held
 
     def contains_primary(self, point, coords=None) -> bool:
         """Whether a primary point lies within 1e-14 max(1, ||point||) of ``point``.
@@ -487,16 +454,19 @@ class InterpolationSet:
         return bool(np.min(np.einsum("ij,ij->i", diffs, diffs)) + off <= (1e-14 * scale) ** 2)
 
     def move_to_secondary(self, index: int):
-        """Demote primary point ``index`` to the secondary set (never the base)."""
+        """Demote primary point ``index`` to the secondary set (never the base).
+
+        The held factor becomes stale.
+        """
         if index == self.base_index:
             raise ContractViolationError("cannot demote the base point")
+        self._held = None
         self._secondary.append(self.primary[index])
         self._primary.pop(index)
         if self._frame is not None:
             self._wsecondary.append(self._wprimary.rows[index])
             self._wprimary.pop(index)
         self.secondary_values.append(self.primary_values.pop(index))
-        del self._ids[index]
         if index < self.base_index:
             self.base_index -= 1
         if self._coords is not None:
@@ -542,10 +512,10 @@ class InterpolationSet:
     def primary_coords(self, basis: Basis) -> np.ndarray:
         """Coordinates Q^T (y - base) of the primary points, one row each.
 
-        For the basis that ``updated_basis`` or ``hold_basis`` last returned
-        they come from the set's own record, O(p^2); for any other basis
-        they are computed as (primary - base) @ Q, in frame coordinates when
-        the basis is expressed in the set's frame.
+        For the basis that ``held_basis`` last returned they come from the
+        set's own record, O(p^2); for any other basis they are computed as
+        (primary - base) @ Q, in frame coordinates when the basis is
+        expressed in the set's frame.
         """
         if self._coords is not None and self._coords[0] is basis:
             z = self._coords[1]
@@ -587,129 +557,37 @@ class InterpolationSet:
             return self._rotation[1][: len(basis.coords)].T @ basis.coords
         return None
 
-    def _basis(self, coords) -> Basis:
-        return Basis(coords) if self._frame is None else Basis(coords, self.frame)
+    def hold_basis(self, basis: Optional[Basis], dirs: np.ndarray) -> np.ndarray:
+        """Hold ``basis``, the ``orthonormal_basis`` of ``dirs = frame_directions()``.
 
-    def hold_basis(self, basis: Basis) -> Basis:
-        """Hold the factor of a fresh ``orthonormal_basis(frame_directions())``.
-
-        The factor is anchored at the base, and R is read off as the upper
-        triangle of Q^T D. A basis that dropped a dependent direction is not
-        held, so the next read refactors again. Returns the basis expressed
-        in the set's frame.
+        ``basis`` is None when ``dirs`` is empty, and the held factor then
+        has no columns. Records the primary coordinates D Q for the next
+        ``held_basis`` and returns Q, in frame coordinates. A factor that
+        dropped a dependent direction is held as it is: a fresh factor of
+        the same directions drops it too.
         """
-        dirs = self.frame_directions()
-        q, b = basis.coords, self.base_index
-        qtd = q.T @ dirs.T
-        if basis.rank == len(dirs):
-            ids = self._ids[:b] + self._ids[b + 1 :]
-            anchor = self._wprimary.rows[b].copy()
-            self._factor = _Factor(q, np.triu(qtd), ids, self._ids[b], anchor)
-        if self._frame is not None:
-            basis = self._basis(q)
-        self._coords = (basis, np.insert(qtd.T, b, 0.0, axis=0))
-        return basis
+        q = np.zeros((self.frame_dim, 0)) if basis is None else basis.coords
+        self._held = q
+        self._coords = (None, np.insert(dirs @ q, self.base_index, 0.0, axis=0))
+        return q
 
-    def updated_basis(self) -> Optional[Basis]:
-        """Basis of the held factor after the changes since it was last read.
+    def held_basis(self) -> Optional[Basis]:
+        """The held factor as a Basis in the set's frame; None when it is stale.
 
-        Applies the changes as ``updated_span`` does, then checks the
-        columns with ``Basis``, and records the primary coordinates from R.
-        Returns None, and drops the factor, when ``updated_span`` does or
-        when max |Q^T Q - I| exceeds half of BASIS_ORTHO_TOL. The caller then
-        refactors from scratch and calls ``hold_basis``.
+        The Basis check, max |Q^T Q - I| <= BASIS_ORTHO_TOL, is the only work:
+        it covers the columns appended since the factor was held. A factor
+        that fails it is dropped, and None is returned. The recorded primary
+        coordinates become those of the returned basis.
         """
-        f = self._updated_factor()
-        if f is None:
+        if self._held is None:
             return None
         try:
-            basis = self._basis(f.q)
+            basis = Basis(self._held, self.frame)
         except ContractViolationError:
-            basis = None
-        if basis is None or basis.gram_error > 0.5 * BASIS_ORTHO_TOL:
-            self._factor = None
+            self._held = None
             return None
-        # Column j of R holds the coordinates of point ids[j] from the
-        # anchor, whose own are zero.
-        self._coords = (basis, np.insert(f.r.T, self._ids.index(f.anchor_id), 0.0, axis=0))
+        self._coords = (basis, self._coords[1])
         return basis
-
-    def updated_span(self) -> Optional[np.ndarray]:
-        """Q of the held factor after the pending changes, unchecked, in frame coordinates.
-
-        Points that left the primary set are deleted first, one
-        ``scipy.linalg.qr_delete`` per run of adjacent columns; when the
-        anchor itself has left, the base becomes the anchor through one
-        rank-one update. New points are then inserted. Returns None, and
-        drops the factor, when there is none, when no held column is left to
-        update, when there are more directions than frame dimensions, or
-        when a direction is dependent (SciPy rejects it, or it fails the
-        drop rule of ``orthonormal_basis``: |r_jj| <= 1e-10 ||d_j||).
-        """
-        f = self._updated_factor()
-        return None if f is None else f.q
-
-    def _updated_factor(self) -> Optional[_Factor]:
-        f, self._factor = self._factor, None
-        if f is None:
-            return None
-        try:
-            if not self._update(f):
-                return None
-        except np.linalg.LinAlgError:
-            return None
-        col_norms = np.sqrt(np.einsum("ij,ij->j", f.r, f.r))
-        if np.any(np.abs(np.diag(f.r)) <= 1e-10 * col_norms):
-            return None
-        self._factor = f
-        return f
-
-    def _update(self, f: _Factor) -> bool:
-        """Apply the pending changes to ``f``; False when that is not possible."""
-        ids = self._ids
-        live = set(ids)
-        base_id = ids[self.base_index]
-        rows, k = self._wprimary.rows, f.q.shape[0]
-        # Deletions come first: a trial direction lies in the old span. When
-        # the anchor has left, the base's column goes too.
-        anchor_left = f.anchor_id not in live
-        keep = live - {base_id} if anchor_left else live
-        drop = [j for j, i in enumerate(f.ids) if i not in keep]
-        if len(drop) == len(f.ids):
-            return False
-        runs = []
-        for j in drop:
-            if runs and runs[-1][0] + runs[-1][1] == j:
-                runs[-1][1] += 1
-            else:
-                runs.append([j, 1])
-        for j, count in reversed(runs):
-            f.q, f.r = scipy.linalg.qr_delete(
-                f.q, f.r, j, count, which="col", check_finite=False
-            )
-        f.ids = [i for i in f.ids if i in keep]
-        # A square Q is read as a full factorization, which keeps all k
-        # columns of Q; the held factor is the economic part.
-        f.q, f.r = f.q[:, : len(f.ids)], f.r[: len(f.ids)]
-        if anchor_left:
-            # Every column y - anchor becomes y - base.
-            base = rows[self.base_index].copy()
-            f.q, f.r = scipy.linalg.qr_update(
-                f.q, f.r, (f.anchor - base)[:k], np.ones(len(f.ids)), check_finite=False
-            )
-            f.anchor, f.anchor_id = base, base_id
-        known = set(f.ids)
-        known.add(f.anchor_id)
-        new = [t for t, i in enumerate(ids) if i not in known]
-        if len(f.ids) + len(new) > k:
-            return False  # more directions than dimensions: some are dependent
-        if new:
-            u = (rows[new][:, :k] - f.anchor[:k]).T
-            f.q, f.r = scipy.linalg.qr_insert(
-                f.q, f.r, u, len(f.ids), which="col", check_finite=False
-            )
-            f.ids += [ids[t] for t in new]
-        return True
 
 
 class _ModelMap:

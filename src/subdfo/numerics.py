@@ -94,16 +94,13 @@ def orthonormal_basis(vectors) -> Basis:
     factorization redone without it). Raises EmptyBasisError when nothing
     survives.
 
-    This is the from-scratch path. ``run_rsdfoq`` calls it, on the primary
-    directions in the interpolation set's frame coordinates
-    (``InterpolationSet.frame_directions``), for its first basis and
-    whenever the factor the set holds cannot be updated
-    (``InterpolationSet.updated_basis``). Every other basis comes
-    from that factor: anchored at one primary point, brought up to date by
-    ``scipy.linalg`` QR deletions, insertions and, when the anchor leaves,
-    one rank-one update, and extended by the known orthogonal directions of
-    ``add_orthogonal_points``. The order of those steps is part of what
-    fixes the bits of the solver's records.
+    This is the only factorization of ``run_rsdfoq``'s primary directions,
+    in the interpolation set's frame coordinates
+    (``InterpolationSet.frame_directions``). ``add_orthogonal_points``
+    calls it once per call, and the set holds the result with the drawn
+    directions appended as known columns; the read at the start of the
+    next iteration (``InterpolationSet.held_basis``) calls it again only
+    when the primary set has changed since.
 
     Bit contract: the factorization is LAPACK ``geqrf``/``orgqr`` on a
     Fortran-order copy of the n x k matrix (``scipy.linalg.qr``, economic

@@ -315,28 +315,30 @@ def add_orthogonal_points(
     """Add ``count`` fresh primary points at distance ``delta_next`` from the base.
 
     Directions are mutually orthonormal and orthogonal to the span of the
-    existing primary offsets from the base point, taken from the set's held
-    factor (``InterpolationSet.draw_orthogonal``, which also extends the
-    set's frame); each new point is evaluated and cached, and its direction
-    joins the factor as a known column. When a value comes back non-finite, the
-    same direction is retried on the other side of the base and then at half
-    and a quarter of the distance (every retry is an evaluation); a direction
-    with no finite value is not added.
+    existing primary offsets from the base point. That span is factored
+    afresh here, once, and the set holds the factor
+    (``InterpolationSet.hold_basis``); the directions are drawn against it
+    (``InterpolationSet.draw_orthogonal``, which also extends the set's
+    frame). Each new point is evaluated and cached, and its direction joins
+    the factor as a known column, so the next read needs no factorization.
+    When a value comes back non-finite, the same direction is retried on the
+    other side of the base and then at half and a quarter of the distance
+    (every retry is an evaluation); a direction with no finite value is not
+    added.
     """
     if count < 0:
         raise ContractViolationError("count must be nonnegative")
     if count == 0:
         return
     n = iset.base.shape[0]
-    span = iset.updated_span() if len(iset.primary) > 1 else np.zeros((iset.frame_dim, 0))
-    if span is None:
-        span = iset.hold_basis(orthonormal_basis(iset.frame_directions())).coords
+    dirs = iset.frame_directions()
+    span = iset.hold_basis(orthonormal_basis(dirs) if len(dirs) else None, dirs)
     if span.shape[1] + count > n:
         raise ContractViolationError(
             "subspace span already full-dimensional; cannot add orthogonal directions"
         )
 
-    frame, coords = iset.draw_orthogonal(rng.standard_normal((count, n)).T, span)
+    frame, coords = iset.draw_orthogonal(rng.standard_normal((count, n)).T)
 
     base = iset.base
     added, lengths, values = [], [], []
@@ -487,13 +489,16 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
             if iterate_hook is not None:
                 iterate_hook(k, iset.base)
 
-            # The held factor, refactored from scratch when it cannot be
-            # updated; the one Basis check of the iteration. orthonormal_basis
-            # is called by name here and in add_orthogonal_points:
+            # The factor add_orthogonal_points held, with the directions it
+            # added; refactored when the primary set changed since. The read
+            # is the one Basis check of the iteration. orthonormal_basis is
+            # called by name here and in add_orthogonal_points:
             # perfbench/tracing.py times it there.
-            basis = iset.updated_basis() or iset.hold_basis(
-                orthonormal_basis(iset.frame_directions())
-            )
+            basis = iset.held_basis()
+            if basis is None:
+                dirs = iset.frame_directions()
+                iset.hold_basis(orthonormal_basis(dirs), dirs)
+                basis = iset.held_basis()  # passes: the check orthonormal_basis passed
             try:
                 model = build_mfn_model(
                     iset,

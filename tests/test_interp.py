@@ -153,86 +153,106 @@ class TestStackedStorage:
 
 def lifted_factor(iset):
     """F @ Q of the factor the set holds: its columns in full space."""
-    f = iset._factor
-    return f.q if iset.frame is None else iset.frame.T @ f.q
+    q = iset._held
+    return q if iset.frame is None else iset.frame.T @ q
 
 
 def held_factor_errors(iset, basis):
     """(min principal-angle cosine of F Q against a fresh full-space
-    orthonormal_basis, max |(FQ)^T FQ - I|, ||D - QR|| / ||D||) of the factor
-    the set holds, with D the offsets of the primary points from the
-    factor's anchor in frame coordinates, in the factor's column order."""
-    f = iset._factor
-    assert f is not None and np.shares_memory(f.q, basis.coords)
+    orthonormal_basis, max |(FQ)^T FQ - I|, ||D - Z Q^T|| / ||D||) of the
+    factor the set holds, with D the primary offsets from the base in frame
+    coordinates and Z their recorded coordinates in ``basis``."""
+    assert iset._held is not None and np.shares_memory(iset._held, basis.coords)
     q = lifted_factor(iset)
-    rows = dict(zip(iset._ids, iset.primary_frame_coords))
-    d = np.array([rows[i] - rows[f.anchor_id] for i in f.ids]).T
     fresh = orthonormal_basis(iset.primary_directions()).columns
     cosines = np.linalg.svd(fresh.T @ q, compute_uv=False)
     assert fresh.shape == q.shape
     gram = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
-    return cosines.min(), gram, np.linalg.norm(d - f.q @ f.r) / np.linalg.norm(d)
+    d = iset.frame_directions()
+    z = np.delete(iset.primary_coords(basis), iset.base_index, axis=0)
+    return cosines.min(), gram, np.linalg.norm(d - z @ iset._held.T) / np.linalg.norm(d)
+
+
+def hold_fresh(iset):
+    """Hold a fresh factor of the primary directions, as add_orthogonal_points does."""
+    dirs = iset.frame_directions()
+    return iset.hold_basis(orthonormal_basis(dirs) if len(dirs) else None, dirs)
+
+
+def add_drawn(iset, rng, count):
+    """Hold a fresh factor, then add ``count`` points along directions drawn
+    orthogonal to it, at random lengths from the base."""
+    hold_fresh(iset)
+    frame, coords = iset.draw_orthogonal(rng.standard_normal((len(iset.base), count)))
+    iset.add_orthogonal(frame, rng.uniform(0.5, 2.0, count), rng.standard_normal(count), coords)
 
 
 class TestHeldFactor:
     @staticmethod
     def _read(iset):
-        basis = iset.updated_basis()
-        return basis if basis is not None else iset.hold_basis(
-            orthonormal_basis(iset.primary_directions())
-        )
+        basis = iset.held_basis()
+        if basis is None:
+            hold_fresh(iset)
+            basis = iset.held_basis()
+        return basis
 
     @pytest.mark.parametrize("p, q", [(3, 9), (5, 11), (7, 15)])
     def test_scripted_steps_keep_the_factor_exact(self, p, q):
-        # Adds, demotions (the old base too, after recentring), recentring to
-        # held and to pending points, with reads at random times. A read
-        # refactors only when no held column is left to update.
+        # Adds, demotions (the old base too, after recentring), recentring,
+        # drawn directions appended to a fresh factor, with reads at random
+        # times. A read returns None exactly when a point was added or
+        # demoted since the factor was held, and every read that returns the
+        # held factor passes the three factor checks.
         n = 9
         rng = np.random.default_rng(10 * p + q)
         iset = InterpolationSet(rng.standard_normal(n), 0.0, p, q)
-        for _ in range(p):
-            iset.add_primary(rng.standard_normal(n), float(rng.standard_normal()))
-        basis = self._read(iset)
-        updates = 0
+        add_drawn(iset, rng, p)
+        stale = False
+        held_reads = 0
         for step in range(300):
-            kind = int(rng.integers(4))
+            kind = int(rng.integers(5))
             if kind == 0 and len(iset.primary) < min(p + 3, n + 1):
                 iset.add_primary(rng.standard_normal(n), float(rng.standard_normal()))
+                stale = True
             elif kind == 1 and len(iset.primary) > 2:
                 choices = [i for i in range(len(iset.primary)) if i != iset.base_index]
                 iset.move_to_secondary(int(rng.choice(choices)))
+                stale = True
             elif kind == 2:
                 iset.primary_values[int(rng.integers(len(iset.primary)))] -= 1.0
                 iset.recenter_to_best()
-            elif len(iset.primary) > 1:
-                others = set(iset._ids) - {iset._ids[iset.base_index]}
-                held_left = bool(others & set(iset._factor.ids))
-                basis = iset.updated_basis()
+            elif kind == 3 and 0 < p + 1 - len(iset.primary):
+                add_drawn(iset, rng, p + 1 - len(iset.primary))
+                stale = False
+            else:
+                basis = iset.held_basis()
+                assert (basis is None) == stale, step
                 if basis is None:
-                    assert not held_left, step
-                    basis = iset.hold_basis(orthonormal_basis(iset.primary_directions()))
+                    hold_fresh(iset)
+                    basis = iset.held_basis()
+                    stale = False
                 else:
-                    updates += 1
+                    held_reads += 1
                 cos_min, gram, resid = held_factor_errors(iset, basis)
                 assert cos_min >= 1 - 1e-10, step
                 assert gram <= BASIS_ORTHO_TOL, step
                 assert resid <= 1e-12, step
-        assert updates > 40
+        assert held_reads > 40
 
     @pytest.mark.parametrize("p, q", [(3, 9), (6, 13)])
     def test_known_columns_and_coordinates_stay_exact(self, p, q):
         # The solver's cycle, scripted: read, add a point at base + Q s with
-        # its coordinates s, demote, recentre, then append orthogonal
-        # directions as known columns. After every change the recorded
-        # coordinates match (primary - base) @ Q of the last read, and every
-        # read passes the three factor checks.
+        # its coordinates s, demote, recentre, then hold a fresh factor and
+        # append orthogonal directions to it as known columns. After every
+        # change the recorded coordinates match (primary - base) @ Q of the
+        # last read; the read after the append returns the held factor,
+        # which passes the three factor checks.
         n = 12
         rng = np.random.default_rng(p + q)
         iset = InterpolationSet(rng.standard_normal(n), 0.0, p, q)
-        for _ in range(p):
-            iset.add_primary(rng.standard_normal(n), float(rng.standard_normal()))
+        add_drawn(iset, rng, p)
         appended = 0
-        for step in range(60):
+        for step in range(80):
             basis = self._read(iset)
             cos_min, gram, resid = held_factor_errors(iset, basis)
             assert cos_min >= 1 - 1e-10 and gram <= BASIS_ORTHO_TOL and resid <= 1e-12, step
@@ -254,67 +274,75 @@ class TestHeldFactor:
                 check()
             iset.recenter_to_best()
             check()
-            span = iset.updated_span()
             count = p + 1 - len(iset.primary)
-            if span is None or count <= 0:
+            if count <= 0:
+                assert iset.held_basis() is None
                 continue
-            draws = rng.standard_normal((n, count))
-            for _ in range(2):
-                draws -= span @ (span.T @ draws)
-            frame = np.linalg.qr(draws)[0]
-            held = len(iset._factor.ids)
-            iset.add_orthogonal(frame, rng.uniform(0.5, 2.0, count), rng.standard_normal(count))
-            assert len(iset._factor.ids) == held + count
+            held = hold_fresh(iset).shape[1]
+            frame, coords = iset.draw_orthogonal(rng.standard_normal((n, count)))
+            iset.add_orthogonal(frame, rng.uniform(0.5, 2.0, count), rng.standard_normal(count), coords)
+            assert iset._held.shape[1] == held + count
+            assert np.array_equal(iset._held[:, held:], coords)
             appended += count
         assert appended > 30
 
     def test_dependent_direction_is_not_held(self):
-        # Three collinear points: orthonormal_basis drops one direction, so
-        # no factor is held and every read refactors.
+        # Three collinear points: orthonormal_basis drops one direction, and
+        # the factor is held with the one column left, as a fresh factor of
+        # the same directions would be. Replacing the dependent point makes
+        # it stale; the refactor holds both directions.
         iset = make_set([0.0, 0.0, 0.0], 0.0, 2, 5, primary=[((1.0, 0.0, 0.0), 1.0), ((2.0, 0.0, 0.0), 2.0)])
-        basis = iset.hold_basis(orthonormal_basis(iset.primary_directions()))
-        assert basis.rank == 1
-        assert iset.updated_basis() is None
-        # A new independent point does not revive it either.
+        assert hold_fresh(iset).shape == (3, 1)
+        assert iset.held_basis().rank == 1
+        assert iset.held_basis().rank == 1
+        iset.move_to_secondary(2)
         iset.add_primary(np.array([0.0, 1.0, 0.0]), 1.0)
-        assert iset.updated_basis() is None
+        assert iset.held_basis() is None
+        assert self._read(iset).rank == 2
 
     def test_dependent_insertion_drops_the_factor(self):
+        # A point added or demoted without a fresh factor leaves the read
+        # to refactor, which drops a dependent direction.
         iset = make_set([0.0, 0.0, 0.0], 0.0, 3, 7, primary=[((1.0, 0.0, 0.0), 1.0), ((0.0, 1.0, 0.0), 1.0)])
         self._read(iset)
         iset.add_primary(np.array([1.0, 1.0, 0.0]), 1.0)
-        assert iset.updated_basis() is None
-        assert orthonormal_basis(iset.primary_directions()).rank == 2
+        assert iset.held_basis() is None
+        assert self._read(iset).rank == 2
+        iset.move_to_secondary(3)
+        assert iset.held_basis() is None
         # More directions than dimensions.
         iset = make_set([0.0, 0.0], 0.0, 2, 5, primary=[((1.0, 0.0), 1.0), ((0.0, 1.0), 1.0)])
         self._read(iset)
         iset.add_primary(np.array([1.0, 1.0]), 1.0)
-        assert iset.updated_basis() is None
+        assert iset.held_basis() is None
+        assert self._read(iset).rank == 2
 
     def test_drifted_factor_is_dropped(self):
+        # The read is the Basis check: columns that fail it are dropped, and
+        # the next refactor is held and read again.
         rng = np.random.default_rng(0)
         iset = InterpolationSet(np.zeros(20), 0.0, 5, 11)
         for _ in range(5):
             iset.add_primary(rng.standard_normal(20), 1.0)
         self._read(iset)
-        assert iset.updated_basis() is not None
-        iset._factor.q = iset._factor.q + 1e-11 * rng.standard_normal((20, 5))
-        assert iset.updated_basis() is None
+        assert iset.held_basis() is not None
+        iset._held = iset._held + 1e-11 * rng.standard_normal((20, 5))
+        assert iset.held_basis() is None
+        assert iset._held is None
         basis = self._read(iset)
-        assert basis.gram_error <= 0.5 * BASIS_ORTHO_TOL
-        # Drift that Basis still accepts, but above half its tolerance.
-        iset._factor.q = iset._factor.q * np.array([1.0 + 0.35 * BASIS_ORTHO_TOL, 1, 1, 1, 1])
-        assert 0.5 * BASIS_ORTHO_TOL < Basis(iset._factor.q).gram_error <= BASIS_ORTHO_TOL
-        assert iset.updated_basis() is None
+        assert basis.gram_error <= BASIS_ORTHO_TOL
+        assert iset.held_basis() is not None
 
 
 class TestFramedSet:
     def test_scripted_steps_keep_points_in_the_frame(self):
         # n > 2q: every point is o + F w. Points without coordinates are
         # projected on the frame and extend it when they lie off its span;
-        # points near the held span join with subspace coordinates; more
-        # than q stored points widen the frame's buffer. Reads pass the
-        # factor checks, and the frame stays orthonormal.
+        # points near the held span join with subspace coordinates; drawn
+        # directions join a fresh factor, which the frame's growth and
+        # compactions carry; more than q stored points widen the frame's
+        # buffer. Reads pass the factor checks, and the frame stays
+        # orthonormal.
         n, p, q = 40, 3, 7
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal(n)
@@ -323,7 +351,7 @@ class TestFramedSet:
         plane = np.linalg.qr(rng.standard_normal((n, 5)))[0]
         for _ in range(p):
             iset.add_primary(x0 + plane @ rng.standard_normal(5), float(rng.standard_normal()))
-        reads = 0
+        reads = held_reads = 0
         for step in range(300):
             kind = int(rng.integers(5))
             if kind == 0 and len(iset.primary) < p + 6:
@@ -335,18 +363,19 @@ class TestFramedSet:
             elif kind == 2:
                 iset.primary_values[int(rng.integers(len(iset.primary)))] -= 1.0
                 iset.recenter_to_best()
+            elif kind == 3 and len(iset.primary) < p + 5:
+                add_drawn(iset, rng, int(rng.integers(1, 3)))
             elif len(iset.primary) > 1:
-                basis = iset.updated_basis()
-                if basis is None:
-                    basis = iset.hold_basis(orthonormal_basis(iset.frame_directions()))
+                basis = iset.held_basis()
+                held_reads += basis is not None
+                basis = basis or TestHeldFactor._read(iset)
                 reads += 1
                 direct = (iset.primary - iset.base) @ basis.columns
                 assert np.max(np.abs(iset.primary_coords(basis) - direct)) <= 1e-12 * max(
                     1.0, float(np.max(np.linalg.norm(direct, axis=1)))
                 ), step
-                if iset._factor is not None:
-                    cos_min, gram, resid = held_factor_errors(iset, basis)
-                    assert cos_min >= 1 - 1e-10 and gram <= BASIS_ORTHO_TOL and resid <= 1e-12, step
+                cos_min, gram, resid = held_factor_errors(iset, basis)
+                assert cos_min >= 1 - 1e-10 and gram <= BASIS_ORTHO_TOL and resid <= 1e-12, step
                 if kind == 4 and len(iset.primary) < p + 6:
                     s_hat = 0.1 * rng.standard_normal(basis.rank)
                     trial = iset.base + basis.lift(s_hat)
@@ -354,7 +383,7 @@ class TestFramedSet:
                     iset.add_primary(trial, float(rng.standard_normal()), coords=s_hat)
                     assert iset.contains_primary(trial, s_hat)
             self._check(iset, step)
-        assert reads > 40
+        assert reads > 40 and held_reads > 10
         assert iset._rotation is not None  # compacted at least once
         # More stored points than the frame's width: its buffer widens.
         iset = InterpolationSet(x0, 0.0, 1, 3)
