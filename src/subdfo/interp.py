@@ -9,12 +9,12 @@ model-error scaling laws.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     ContractViolationError,
@@ -22,7 +22,7 @@ from .exceptions import (
     ModelConstructionError,
     SingularSystemError,
 )
-from .numerics import Basis, check_symmetric, solve_saddle_system
+from .numerics import Basis, check_symmetric, economic_qr, solve_saddle_system
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -261,13 +261,14 @@ class InterpolationSet:
         self._held = None
         w = None
         if self._frame is not None:
+            point = np.asarray(point, dtype=float)
             w, res = self._locate(point, coords)
-            scale = FRAME_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(point)))
-            if res is not None and np.linalg.norm(res) > scale:
+            scale = FRAME_RESIDUAL_TOL * max(1.0, math.sqrt(point @ point))
+            if res is not None and math.sqrt(res @ res) > scale:
                 if self._k == len(self._frame):
                     self._make_room(1)
                     w, res = self._locate(point, None)
-                norm = float(np.linalg.norm(res))
+                norm = math.sqrt(res @ res)
                 w[self._extend((res / norm)[:, None])] = norm
         self._push(point, value, w)
         if self._coords is not None:
@@ -318,7 +319,7 @@ class InterpolationSet:
             span = self._held
             for _ in range(2):
                 draws -= span @ (span.T @ draws)
-            out, r = scipy.linalg.qr(draws, mode="economic", overwrite_a=True, check_finite=False)
+            out, r = economic_qr(draws)
             if np.any(np.abs(np.diag(r)) <= 1e-8):
                 raise ContractViolationError("failed to draw orthogonal directions")
             return out, out
@@ -415,7 +416,7 @@ class InterpolationSet:
         offsets = np.vstack([prim[:b, :k], prim[b + 1 :, :k], sec[:, :k]]) - wbase
         width = min(k, len(offsets))
         if width:
-            u, r = scipy.linalg.qr(offsets.T, mode="economic", check_finite=False)
+            u, r = economic_qr(offsets.T)
         else:
             u, r = np.zeros((k, 0)), np.zeros((0, len(offsets)))
         size = len(self._frame)
@@ -443,7 +444,7 @@ class InterpolationSet:
         taken in frame coordinates without a product with the frame.
         """
         point = np.asarray(point, dtype=float)
-        scale = max(1.0, float(np.linalg.norm(point)))
+        scale = max(1.0, math.sqrt(point @ point))
         if self._frame is None:
             diffs = self.primary - point
             off = 0.0
@@ -997,4 +998,5 @@ def certify_fully_quadratic(
 def model_criticality(model: SubspaceModel):
     """(sigma_m, tau_m): max of gradient norm and negative-curvature magnitude."""
     tau = max(-float(model.eig[0][0]), 0.0)
-    return max(float(np.linalg.norm(model.gradient)), tau), tau
+    g = model.gradient
+    return max(math.sqrt(g @ g), tau), tau

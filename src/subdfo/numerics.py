@@ -2,16 +2,18 @@
 
 Everything here is pure and reentrant: orthonormalization, symmetric
 eigensolves and saddle-point (KKT) solves on matrices of at most a few
-hundred rows, backed by NumPy/SciPy dense routines.
+hundred rows. The QR factorizations and the saddle solves call LAPACK
+through ``scipy.linalg.lapack``, with the arguments SciPy's own wrappers
+use, so they carry the wrappers' bits without their per-call overhead.
 """
 
-import warnings
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .exceptions import ContractViolationError, EmptyBasisError, SingularSystemError
 
@@ -84,14 +86,48 @@ class Basis:
         return self.frame.T @ (self.coords @ coords)
 
 
+@cache
+def _qr_lwork(m: int, n: int):
+    """The workspace sizes SciPy queries for ``geqrf`` and ``orgqr`` on an m x n matrix."""
+    k = min(m, n)
+    work = lapack.dgeqrf(np.zeros((m, n), order="F"), lwork=-1)[2]
+    work_q = lapack.dorgqr(np.zeros((m, k), order="F"), np.zeros(k), lwork=-1)[1]
+    return int(work[0]), int(work_q[0])
+
+
+def economic_qr(a: np.ndarray):
+    """Economic QR factorization a = Q R of a float m x n array, without finiteness checks.
+
+    Calls LAPACK ``dgeqrf``/``dorgqr`` with the workspace sizes that
+    ``scipy.linalg.qr(a, mode="economic")`` queries, which it caches per
+    shape, so Q (m x min(m, n), Fortran order) and R carry SciPy's bits
+    without its per-call overhead. ``a`` is not modified.
+    """
+    m, n = a.shape
+    lwork, lwork_q = _qr_lwork(m, n)
+    qr, tau, _, info = lapack.dgeqrf(a, lwork=lwork)
+    if m < n:
+        r, qr = np.triu(qr), qr[:, :m]
+    else:
+        r = np.triu(qr[:n])
+    q, _, info_q = lapack.dorgqr(qr, tau, lwork=lwork_q, overwrite_a=1)
+    if info or info_q:
+        raise ContractViolationError(f"QR of a {m}x{n} matrix failed (info {info}, {info_q})")
+    return q, r
+
+
 def orthonormal_basis(vectors) -> Basis:
     """Orthonormalize a sequence of n-vectors, dropping dependent ones.
 
     ``vectors`` is a list of n-vectors or a (k, n) array whose rows are the
     vectors. Uses Householder QR with signs fixed so the result matches
     Gram-Schmidt orientation. A vector whose residual against the preceding
-    ones falls below 1e-10 times its input norm is dropped (and the
-    factorization redone without it). Raises EmptyBasisError when nothing
+    ones falls below 1e-10 times its input norm is dependent. Only the
+    first such vector is dropped before the factorization is redone: the
+    Householder step of a dependent vector is the identity, so a later
+    vector's diagonal entry can be 0 although the vector is independent
+    (e1, 2 e1, e2 has rank 2). Vectors past the n-th are dropped together
+    once the first n are independent. Raises EmptyBasisError when nothing
     survives.
 
     This is the only factorization of ``run_rsdfoq``'s primary directions,
@@ -102,11 +138,12 @@ def orthonormal_basis(vectors) -> Basis:
     next iteration (``InterpolationSet.held_basis``) calls it again only
     when the primary set has changed since.
 
-    Bit contract: the factorization is LAPACK ``geqrf``/``orgqr`` on a
-    Fortran-order copy of the n x k matrix (``scipy.linalg.qr``, economic
-    mode), which gives the same bits as ``np.linalg.qr``, and the sign-fixed
-    Q is returned in C order. The memory order of Q decides the bits of every
-    later product with it, so solver records depend on both choices.
+    Bit contract: the factorization is ``economic_qr`` of the n x k matrix,
+    LAPACK ``geqrf``/``orgqr`` with SciPy's workspace sizes. It gives the
+    bits of ``scipy.linalg.qr`` in economic mode and of ``np.linalg.qr``,
+    and the sign-fixed Q is returned in C order. The memory order of Q
+    decides the bits of every later product with it, so solver records
+    depend on both choices.
     """
     rows = np.asarray(vectors, dtype=float)
     if len(rows) == 0:
@@ -118,16 +155,17 @@ def orthonormal_basis(vectors) -> Basis:
     if not np.all(live):
         rows, norms = rows[live], norms[live]
     while len(rows) > 0:
-        q, r = scipy.linalg.qr(
-            rows.T.copy(order="F"), mode="economic", overwrite_a=True, check_finite=False
-        )
+        q, r = economic_qr(rows.T)
         diag = np.diag(r)
-        ok = np.zeros(len(rows), dtype=bool)
-        ok[: diag.size] = np.abs(diag) > 1e-10 * norms[: diag.size]
-        if np.all(ok):
+        ok = np.abs(diag) > 1e-10 * norms[: diag.size]
+        if not np.all(ok):
+            drop = np.argmin(ok)  # the first dependent vector
+        elif len(rows) > diag.size:
+            drop = slice(diag.size, None)
+        else:
             signs = np.where(diag < 0, -1.0, 1.0)
             return Basis(np.multiply(q, signs, order="C"))
-        rows, norms = rows[ok], norms[ok]
+        rows, norms = np.delete(rows, drop, axis=0), np.delete(norms, drop)
     raise EmptyBasisError("all input vectors are numerically zero or dependent")
 
 
@@ -166,6 +204,12 @@ def min_eigenpair(h: np.ndarray):
     return float(w[0]), vec
 
 
+@cache
+def _sytrf_lwork(order: int) -> int:
+    """The optimal ``sytrf`` workspace, as ``scipy.linalg.solve(assume_a="sym")`` uses it."""
+    return int(lapack.dsytrf_lwork(order, lower=0)[0])
+
+
 def solve_saddle_system(a, b, rhs) -> np.ndarray:
     """Solve the symmetric saddle-point system [[A, B^T], [B, 0]] z = rhs.
 
@@ -173,6 +217,13 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
     (k x m) and ``rhs`` the full right-hand side of length m + k.
     Near-singular systems are retried once with a small inertia-preserving
     ridge; anything worse raises SingularSystemError.
+
+    Each attempt factors the system with LAPACK ``dsytrf`` (upper triangle,
+    optimal workspace) and solves with ``dsytrs``, which gives the bits of
+    ``scipy.linalg.solve(assume_a="sym")``. An exactly singular pivot fails
+    the attempt; otherwise the residual against the unregularized system,
+    within SADDLE_RESIDUAL_TOL relative to max(1, ||rhs||), decides, so no
+    conditioning estimate is formed.
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     m = a.shape[0]
@@ -190,20 +241,21 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
     if rhs.shape != (m + k,):
         raise ContractViolationError("rhs length inconsistent with blocks")
 
-    scale = max(1.0, float(np.linalg.norm(rhs)))
+    scale = max(1.0, math.sqrt(rhs @ rhs))
+    lwork = _sytrf_lwork(m + k)
 
     def attempt(mat):
-        try:
-            # The residual is verified below, so scipy's conditioning warning
-            # is redundant noise here.
-            with np.errstate(all="ignore"), warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                sol = scipy.linalg.solve(mat, rhs, assume_a="sym")
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
+        # The residual below is the check: LAPACK's exact-singularity flag
+        # is the only failure taken from the factorization.
+        with np.errstate(all="ignore"):
+            ldu, piv, info = lapack.dsytrf(mat, lower=0, lwork=lwork)
+            if info != 0:
+                return None
+            sol, info = lapack.dsytrs(ldu, piv, rhs, lower=0)
+        if info != 0 or not np.all(np.isfinite(sol)):
             return None
-        if not np.all(np.isfinite(sol)):
-            return None
-        if np.linalg.norm(kkt @ sol - rhs) > SADDLE_RESIDUAL_TOL * scale:
+        res = kkt @ sol - rhs
+        if math.sqrt(res @ res) > SADDLE_RESIDUAL_TOL * scale:
             return None
         return sol
 

@@ -517,7 +517,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
             prev_model = model
             sigma_m, _ = model_criticality(model)
             result = solve_trs(model, delta, "second_order")
-            snorm = float(np.linalg.norm(result.step))
+            snorm = math.sqrt(result.step @ result.step)
 
             # rho may be reduced only after rho_patience + 1 iterations at
             # this rho whose steps all stayed within it.

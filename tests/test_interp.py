@@ -692,6 +692,29 @@ class TestBuildMfnModel:
         with pytest.raises(ModelConstructionError):
             build_mfn_model(iset, basis)
 
+    def test_inaccurate_saddle_solution_is_rejected(self, monkeypatch):
+        # A saddle solution that misses the system by a relative 1e-6 gives
+        # no model.
+        import subdfo.interp as interp_mod
+
+        real = interp_mod.solve_saddle_system
+        rng = np.random.default_rng(2)
+
+        def perturbed(a, b, rhs):
+            sol = real(a, b, rhs)
+            return sol + 1e-6 * max(1.0, np.max(np.abs(sol))) * rng.standard_normal(sol.shape)
+
+        basis = Basis(np.eye(2))
+        iset = make_set(
+            [0.0, 0.0], 0.0, 2, 6,
+            primary=[((1.0, 0.0), 1.0), ((0.0, 1.0), 2.0)],
+            secondary=[((-1.0, 0.5), 0.5), ((0.5, -1.0), 3.0)],
+        )
+        build_mfn_model(iset, basis)
+        monkeypatch.setattr(interp_mod, "solve_saddle_system", perturbed)
+        with pytest.raises(ModelConstructionError):
+            build_mfn_model(iset, basis)
+
     def test_primary_only_build_matches_set_of_primaries_base_first(self):
         # The MFN fallback: use_secondary=False must give bit for bit the
         # model of a set holding only the primary points, base first, and

@@ -1,12 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from subdfo.exceptions import (
     ContractViolationError,
     EmptyBasisError,
     SingularSystemError,
 )
-from subdfo.numerics import Basis, min_eigenpair, orthonormal_basis, solve_saddle_system
+from subdfo.numerics import (
+    Basis,
+    economic_qr,
+    min_eigenpair,
+    orthonormal_basis,
+    solve_saddle_system,
+)
 
 
 class TestOrthonormalBasis:
@@ -33,6 +42,13 @@ class TestOrthonormalBasis:
         for v in (np.array([3.0, 4.0]), np.array([0.0, 5.0])):
             assert np.linalg.norm(q @ (q.T @ v) - v) <= 1e-10 * np.linalg.norm(v)
 
+    def test_independent_vector_after_a_dependent_one_is_kept(self):
+        # 2 e1's Householder step is the identity, so e2's diagonal entry of
+        # R is 0 in the first factorization; e2 survives the refactor.
+        b = orthonormal_basis([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert b.rank == 2
+        assert np.allclose(b.columns, np.eye(3)[:, :2], atol=1e-14)
+
     def test_all_zero_raises(self):
         with pytest.raises(EmptyBasisError):
             orthonormal_basis([np.zeros(3), np.zeros(3)])
@@ -57,17 +73,19 @@ class TestOrthonormalBasis:
 
 def _reference_basis(vectors):
     """np.linalg.qr on the stacked columns, with the same drop rule and sign fix."""
-    mat = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-    norms = np.sqrt(np.einsum("ij,ij->j", mat, mat))
-    mat, norms = mat[:, norms > 0.0], norms[norms > 0.0]
+    cols = [np.asarray(v, dtype=float) for v in vectors]
+    cols = [v for v in cols if np.sqrt(v @ v) > 0.0]
     while True:
+        mat = np.column_stack(cols)
         q, r = np.linalg.qr(mat)
         diag = np.diag(r)
-        ok = np.zeros(mat.shape[1], dtype=bool)
-        ok[: diag.size] = np.abs(diag) > 1e-10 * norms[: diag.size]
-        if np.all(ok):
+        ok = [abs(diag[j]) > 1e-10 * np.sqrt(cols[j] @ cols[j]) for j in range(diag.size)]
+        if all(ok) and len(cols) == diag.size:
             return q * np.where(diag < 0, -1.0, 1.0)
-        mat, norms = mat[:, ok], norms[ok]
+        if all(ok):
+            del cols[diag.size :]  # the first n span R^n
+        else:
+            del cols[ok.index(False)]
 
 
 class TestOrthonormalBasisBits:
@@ -112,6 +130,35 @@ class TestOrthonormalBasisBits:
         before = rows.copy()
         orthonormal_basis(rows)
         assert np.array_equal(rows, before)
+
+
+class TestEconomicQr:
+    """economic_qr gives the bits of scipy.linalg.qr(mode="economic")."""
+
+    @staticmethod
+    def _assert_bit_equal(a):
+        before = a.copy()
+        q_ref, r_ref = scipy.linalg.qr(a, mode="economic", check_finite=False)
+        q, r = economic_qr(a)
+        assert np.array_equal(a, before)
+        assert q.shape == q_ref.shape and r.shape == r_ref.shape
+        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+        assert q.flags.f_contiguous == q_ref.flags.f_contiguous
+
+    @pytest.mark.parametrize("m, n", [(12, 12), (100, 25), (151, 50), (2000, 50)])
+    def test_listed_shapes(self, m, n):
+        rng = np.random.default_rng(m + n)
+        a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8.0, 2.0, size=n)
+        for arr in (a, np.asfortranarray(a), a.T.copy().T[:, ::-1]):
+            self._assert_bit_equal(arr)
+
+    def test_random_shapes(self):
+        # Tall, square and wide matrices, in C and Fortran order.
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            m, n = (int(x) for x in rng.integers(1, 160, size=2))
+            a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8.0, 2.0, size=n)
+            self._assert_bit_equal(a if rng.random() < 0.5 else np.asfortranarray(a))
 
 
 class TestBasisType:
@@ -193,3 +240,113 @@ class TestSolveSaddleSystem:
             kkt[:m, m:] = b.T
             res = np.linalg.norm(kkt @ sol - rhs)
             assert res <= 1e-9 * max(1.0, np.linalg.norm(rhs))
+
+
+def _mfn_system(u, rng):
+    """The saddle blocks and a right-hand side of an MFN build on the points u."""
+    a = 0.25 * (u @ u.T) ** 2
+    b = np.hstack([np.ones((len(u), 1)), u]).T
+    return a, b, np.concatenate([rng.standard_normal(len(u)), np.zeros(len(b))])
+
+
+def _unit_points(rng, m, r):
+    """m random points in R^r scaled to a largest norm of 1, as MFN builds scale them."""
+    u = rng.standard_normal((m, r))
+    return u / np.max(np.sqrt(np.einsum("ij,ij->i", u, u)))
+
+
+def _scipy_saddle(a, b, rhs):
+    """solve_saddle_system through scipy.linalg.solve(assume_a="sym"): the reference."""
+    m, k = a.shape[0], b.shape[0]
+    kkt = np.zeros((m + k, m + k))
+    kkt[:m, :m], kkt[m:, :m], kkt[:m, m:] = a, b, b.T
+    scale = max(1.0, float(np.linalg.norm(rhs)))
+
+    def attempt(mat):
+        try:
+            with np.errstate(all="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+                sol = scipy.linalg.solve(mat, rhs, assume_a="sym")
+        except (np.linalg.LinAlgError, ValueError):
+            return None
+        if not np.all(np.isfinite(sol)):
+            return None
+        if np.linalg.norm(kkt @ sol - rhs) > 1e-9 * scale:
+            return None
+        return sol
+
+    sol = attempt(kkt)
+    if sol is None:
+        ridge = 1e-12 * max(1.0, float(np.linalg.norm(np.diag(kkt))))
+        sol = attempt(kkt + ridge * np.diag(np.concatenate([np.ones(m), -np.ones(k)])))
+    return sol
+
+
+class TestSaddleSystemBits:
+    """The LAPACK saddle path gives the bits of scipy.linalg.solve(assume_a="sym")."""
+
+    @staticmethod
+    def _assert_same(a, b, rhs):
+        ref = _scipy_saddle(a, b, rhs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if ref is None:
+                with pytest.raises(SingularSystemError):
+                    solve_saddle_system(a, b, rhs)
+            else:
+                assert np.array_equal(solve_saddle_system(a, b, rhs), ref)
+        return ref
+
+    def test_random_mfn_systems(self):
+        # Orders r + m + 1 from 13 to 152: suite (r = 25), fullspace
+        # (r = 12, up to 91 points) and highdim (r = 50) shapes.
+        rng = np.random.default_rng(3)
+        orders = set()
+        for r, m in [(12, 91), (25, 51), (50, 101), (12, 13), (3, 9)] + [
+            (int(r), int(rng.integers(max(r + 1, 12 - r), min(151 - r, (r + 1) * (r + 2) // 2) + 1)))
+            for r in rng.integers(3, 51, size=40)
+        ]:
+            a, b, rhs = _mfn_system(_unit_points(rng, m, r), rng)
+            orders.add(m + r + 1)
+            assert self._assert_same(a, b, rhs) is not None
+        assert min(orders) == 13 and max(orders) == 152
+
+    def test_near_singular_systems_that_scipy_warns_on(self):
+        # Near-duplicate points: SciPy warns of ill-conditioning; the new path
+        # warns of nothing and returns the same bits or fails the same way.
+        rng = np.random.default_rng(4)
+        warned = 0
+        for r, m in [(12, 91), (12, 60), (25, 51), (6, 28)]:
+            for rel in (1e-6, 1e-8, 1e-10):
+                u = _unit_points(rng, m, r)
+                u[-1] = u[0] * (1.0 + rel)
+                a, b, rhs = _mfn_system(u, rng)
+                kkt = np.block([[a, b.T], [b, np.zeros((r + 1, r + 1))]])
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    scipy.linalg.solve(kkt, rhs, assume_a="sym")
+                warned += any(issubclass(w.category, scipy.linalg.LinAlgWarning) for w in caught)
+                self._assert_same(a, b, rhs)
+        assert warned >= 6
+
+    def test_exactly_singular_system_takes_the_ridge_and_raises(self, monkeypatch):
+        # A repeated point with two values: no quadratic interpolates them.
+        rng = np.random.default_rng(5)
+        u = _unit_points(rng, 40, 8)
+        u[1] = u[0]
+        a, b, rhs = _mfn_system(u, rng)
+        rhs[1] = rhs[0] + 1.0
+        real = scipy.linalg.lapack.dsytrf
+        factored = []
+
+        def spy(mat, **kwargs):
+            factored.append(mat.copy())
+            return real(mat, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", spy)
+        with pytest.raises(SingularSystemError, match="49x49 saddle system singular"):
+            solve_saddle_system(a, b, rhs)
+        assert len(factored) == 2
+        ridge = np.diag(factored[1] - factored[0])
+        assert np.all(ridge[:40] > 0.0) and np.all(ridge[40:] < 0.0)
+        assert _scipy_saddle(a, b, rhs) is None

@@ -569,10 +569,11 @@ class TestRunRsdfoq:
 
     def test_at_most_two_qr_factorizations_per_iteration(self, monkeypatch):
         # One basis per iteration and one for the directions added to it,
-        # all through scipy.linalg.qr; np.linalg.qr is not used.
-        import scipy.linalg
+        # all through numerics.economic_qr; np.linalg.qr is not used.
+        import subdfo.interp as interp_mod
+        import subdfo.numerics as numerics_mod
 
-        real_qr = scipy.linalg.qr
+        real_qr = numerics_mod.economic_qr
         calls = 0
 
         def counting_qr(*args, **kwargs):
@@ -583,7 +584,8 @@ class TestRunRsdfoq:
         def forbidden_qr(*args, **kwargs):
             raise AssertionError("np.linalg.qr called")
 
-        monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+        monkeypatch.setattr(numerics_mod, "economic_qr", counting_qr)
+        monkeypatch.setattr(interp_mod, "economic_qr", counting_qr)
         monkeypatch.setattr(np.linalg, "qr", forbidden_qr)
         for n, p, q in ((20, 5, 11), (30, 8, 20), (6, 6, 28)):
             calls = 0
@@ -714,6 +716,18 @@ class TestRunRsdfoq:
         assert rec.termination == "budget", rec.termination
         assert len(starts) > 20
         assert calls <= len(starts) + 1, (calls, len(starts))
+
+    @pytest.mark.parametrize("n, p, q", [(30, 5, 11), (6, 6, 28), (200, 10, 21)])
+    def test_runs_without_scipy_solve_or_qr(self, monkeypatch, n, p, q):
+        # The saddle solves and QR factorizations call LAPACK directly.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("scipy.linalg.solve or scipy.linalg.qr called")
+
+        monkeypatch.setattr(scipy.linalg, "solve", forbidden)
+        monkeypatch.setattr(scipy.linalg, "qr", forbidden)
+        prob = make_problem("chained_rosenbrock", n)
+        rec = run_rsdfoq(prob, SolverConfig(p=p, q=q, seed=0, max_evals=300))
+        assert rec.termination == "budget", (rec.termination, rec.error)
 
     def test_nonfinite_probes_are_retried(self):
         # f is NaN where x[1] > 1 and its minimizer lies there, so the base
