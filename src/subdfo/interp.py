@@ -11,7 +11,7 @@ model-error scaling laws.
 import logging
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -103,9 +103,22 @@ def _orthonormal_rows(x):
     """(u, t) with orthonormal rows u and x = t^T u, t upper triangular.
 
     Goes through the Gram matrix x x^T (Cholesky QR), once more when an entry
-    of |u u^T - I| exceeds FRAME_ORTHO_TOL.
+    of |u u^T - I| exceeds FRAME_ORTHO_TOL. For one row the Cholesky factor
+    is the row's norm and its inverse a reciprocal, which give the same bits.
     """
     c = len(x)
+    if c == 1:
+        t = 1.0
+        for _ in range(2):
+            gram = x[0] @ x[0]
+            if not gram > 0.0:  # also NaN, which Cholesky rejects too
+                raise ContractViolationError("failed to draw orthogonal directions")
+            norm = math.sqrt(gram)
+            x = (1.0 / norm) * x
+            t *= norm
+            if abs(x[0] @ x[0] - 1.0) <= FRAME_ORTHO_TOL:
+                return x, np.array([[t]])
+        raise ContractViolationError("failed to draw orthogonal directions")
     t = np.eye(c)
     for _ in range(2):
         try:
@@ -347,7 +360,10 @@ class InterpolationSet:
         # less the projections they factor as v t, and [F; E]^T v is
         # (draws - F^T span y) t^-1, which needs no further pass.
         v, t = _orthonormal_rows(np.hstack([coords - y.T @ span.T, tri.T]))
-        return (np.linalg.inv(t).T @ (rows - lifted[c:])).T, v.T
+        directions = rows - lifted[c:]
+        if c == 1:
+            return ((1.0 / t[0, 0]) * directions).T, v.T
+        return (np.linalg.inv(t).T @ directions).T, v.T
 
     def add_orthogonal(self, directions: np.ndarray, lengths, values, coords: np.ndarray):
         """Add the points base + lengths[j] * directions[:, j] with their values.
@@ -481,7 +497,8 @@ class InterpolationSet:
 
     def recenter_to_best(self):
         """Move the base marker to the primary point with smallest value."""
-        self.base_index = int(np.argmin(self.primary_values))
+        values = self.primary_values
+        self.base_index = min(range(len(values)), key=values.__getitem__)
 
     def primary_directions(self) -> np.ndarray:
         """Offsets of the non-base primary points from the base, one per row."""
@@ -846,9 +863,17 @@ def n_quadratic_coeffs(p: int) -> int:
 
 
 @cache
+def _pairs(p: int):
+    """Row and column indices (i, j), i < j, of the strict upper triangle, read-only."""
+    iu, ju = np.triu_indices(p, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
+@cache
 def _unit_stencil(p: int) -> np.ndarray:
     eye = np.eye(p)
-    iu, ju = np.triu_indices(p, 1)
+    iu, ju = _pairs(p)
     pts = np.vstack([np.zeros(p), eye, -eye, eye[iu] + eye[ju]])
     pts.flags.writeable = False
     return pts
@@ -863,8 +888,39 @@ def full_quadratic_stencil(p: int, delta: float) -> np.ndarray:
     return delta * _unit_stencil(p)
 
 
-def build_full_quadratic_model(coords, values) -> SubspaceModel:
-    """Unique quadratic interpolant through exactly (p+1)(p+2)/2 points."""
+@lru_cache(maxsize=8)
+def _quadratic_design(shape, data: bytes):
+    """The design matrix of the scaled coordinates u and its inverse.
+
+    Keyed on u's exact shape and bytes, so a hit is the same design, bit for
+    bit; a run's stencils delta * S scale to a few bit patterns of u, and a
+    few entries hold them (an entry is two m x m arrays, m = (p+1)(p+2)/2).
+    A singular design raises ModelConstructionError, which is not cached.
+    Both arrays are read-only, since every caller with these coordinates
+    shares them.
+    """
+    m, p = shape
+    u = np.frombuffer(data).reshape(shape)
+    iu, ju = _pairs(p)
+    design = np.column_stack([np.ones(m), u, 0.5 * u**2, u[:, iu] * u[:, ju]])
+    try:
+        with np.errstate(all="ignore"):
+            inverse = np.linalg.inv(design)
+    except np.linalg.LinAlgError as err:
+        raise ModelConstructionError(f"non-poised quadratic sample set: {err}") from err
+    design.flags.writeable = inverse.flags.writeable = False
+    return design, inverse
+
+
+def build_full_quadratic_model(coords, values, base=None, map=None) -> SubspaceModel:
+    """Unique quadratic interpolant through exactly (p+1)(p+2)/2 points.
+
+    ``base`` and ``map`` locate the model as in SubspaceModel. The design
+    matrix of the coordinates and its inverse are cached
+    (``_quadratic_design``), and the coefficients are the inverse times the
+    values. The finiteness and interpolation-residual checks run on every
+    call.
+    """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     values = np.asarray(values, dtype=float)
     m, p = coords.shape
@@ -873,15 +929,9 @@ def build_full_quadratic_model(coords, values) -> SubspaceModel:
             f"need exactly {n_quadratic_coeffs(p)} points for p={p}, got {m}"
         )
     u, dbar = _unit_scale(coords)
-
-    iu, ju = np.triu_indices(p, 1)
-    design = np.column_stack([np.ones(m), u, 0.5 * u**2, u[:, iu] * u[:, ju]])
-
-    try:
-        with np.errstate(all="ignore"):
-            coef = np.linalg.solve(design, values)
-    except np.linalg.LinAlgError as err:
-        raise ModelConstructionError(f"non-poised quadratic sample set: {err}") from err
+    design, inverse = _quadratic_design(u.shape, u.tobytes())
+    with np.errstate(all="ignore"):
+        coef = inverse @ values
     if not np.all(np.isfinite(coef)) or (
         np.linalg.norm(design @ coef - values)
         > INTERP_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(values)))
@@ -891,8 +941,9 @@ def build_full_quadratic_model(coords, values) -> SubspaceModel:
     const = float(coef[0])
     grad = coef[1 : p + 1] / dbar
     hess = np.diag(coef[p + 1 : 2 * p + 1])
+    iu, ju = _pairs(p)
     hess[iu, ju] = hess[ju, iu] = coef[2 * p + 1 :]
-    return SubspaceModel(None, None, const, grad, hess / dbar**2)
+    return SubspaceModel(base, map, const, grad, hess / dbar**2)
 
 
 @dataclass(frozen=True)

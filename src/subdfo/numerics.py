@@ -5,6 +5,9 @@ eigensolves and saddle-point (KKT) solves on matrices of at most a few
 hundred rows. The QR factorizations and the saddle solves call LAPACK
 through ``scipy.linalg.lapack``, with the arguments SciPy's own wrappers
 use, so they carry the wrappers' bits without their per-call overhead.
+SciPy is imported on the first such call: ``run_rsdfo`` and ``run_rsdfo2``
+never make one, and importing ``scipy.linalg`` costs more than the rest of
+the package.
 """
 
 import math
@@ -13,7 +16,6 @@ from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .exceptions import ContractViolationError, EmptyBasisError, SingularSystemError
 
@@ -87,9 +89,18 @@ class Basis:
 
 
 @cache
+def _lapack():
+    """The ``scipy.linalg.lapack`` module, imported on first use."""
+    from scipy.linalg import lapack
+
+    return lapack
+
+
+@cache
 def _qr_lwork(m: int, n: int):
     """The workspace sizes SciPy queries for ``geqrf`` and ``orgqr`` on an m x n matrix."""
     k = min(m, n)
+    lapack = _lapack()
     work = lapack.dgeqrf(np.zeros((m, n), order="F"), lwork=-1)[2]
     work_q = lapack.dorgqr(np.zeros((m, k), order="F"), np.zeros(k), lwork=-1)[1]
     return int(work[0]), int(work_q[0])
@@ -105,6 +116,7 @@ def economic_qr(a: np.ndarray):
     """
     m, n = a.shape
     lwork, lwork_q = _qr_lwork(m, n)
+    lapack = _lapack()
     qr, tau, _, info = lapack.dgeqrf(a, lwork=lwork)
     if m < n:
         r, qr = np.triu(qr), qr[:, :m]
@@ -207,7 +219,7 @@ def min_eigenpair(h: np.ndarray):
 @cache
 def _sytrf_lwork(order: int) -> int:
     """The optimal ``sytrf`` workspace, as ``scipy.linalg.solve(assume_a="sym")`` uses it."""
-    return int(lapack.dsytrf_lwork(order, lower=0)[0])
+    return int(_lapack().dsytrf_lwork(order, lower=0)[0])
 
 
 def solve_saddle_system(a, b, rhs) -> np.ndarray:
@@ -243,6 +255,7 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
 
     scale = max(1.0, math.sqrt(rhs @ rhs))
     lwork = _sytrf_lwork(m + k)
+    lapack = _lapack()
 
     def attempt(mat):
         # The residual below is the check: LAPACK's exact-singularity flag

@@ -11,7 +11,7 @@ import logging
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -238,6 +238,20 @@ def pdrop_heuristic(r_k: Optional[float], p: int, full_space: bool) -> int:
     return min(max(pd, lo), p)
 
 
+def _demotion_pick(scores: np.ndarray, dists: np.ndarray, base_index: int) -> int:
+    """Index of the highest score other than the base's; ties to the farthest, then the lowest.
+
+    Scores within 1e-12 max(1, |max|) of the maximum tie, and so do
+    distances within 1e-12 max(1, |max|) of the largest tied distance.
+    """
+    masked = scores.copy()
+    masked[base_index] = -np.inf
+    smax = float(masked.max())
+    tied = masked >= smax - 1e-12 * max(1.0, abs(smax))
+    dmax = float(dists[tied].max())
+    return int((tied & (dists >= dmax - 1e-12 * max(1.0, abs(dmax)))).argmax())
+
+
 def remove_single_point(
     iset: InterpolationSet,
     basis: Basis,
@@ -273,14 +287,7 @@ def remove_single_point(
         except DegenerateGeometryError:
             logger.debug("degenerate Lagrange set; falling back to distance-only removal")
 
-    candidates = [t for t in range(len(iset.primary)) if t != iset.base_index]
-    smax = max(scores[t] for t in candidates)
-    tol_s = 1e-12 * max(1.0, abs(smax))
-    tied = [t for t in candidates if scores[t] >= smax - tol_s]
-    dmax = max(dists[t] for t in tied)
-    tol_d = 1e-12 * max(1.0, abs(dmax))
-    pick = min(t for t in tied if dists[t] >= dmax - tol_d)
-
+    pick = _demotion_pick(scores, dists, iset.base_index)
     removed = iset.primary[pick].copy()
     iset.move_to_secondary(pick)
     return removed
@@ -390,10 +397,16 @@ def _run_prototype(
                 coords = np.vstack([np.zeros(p), delta * np.eye(p)])
             else:
                 coords = full_quadratic_stencil(p, delta)
+            # One product forms every stencil point, x + coords[1:] @ M^T
+            # (x added in place, the same bits). The rows are evaluated in
+            # order, one counted evaluation each, so the budget can still
+            # end the run inside a stencil.
+            points = coords[1:] @ sketch.map.T
+            points += x
             vals = np.empty(len(coords))
             vals[0] = fx  # stencil origin is the current iterate
-            for i in range(1, len(coords)):
-                vals[i] = run(x + sketch.map @ coords[i])
+            for i, point in enumerate(points, 1):
+                vals[i] = run(point)
             if not np.all(np.isfinite(vals)):
                 # The stencil left the region where f is finite: no model can
                 # be built, so count the iteration as unsuccessful and shrink.
@@ -410,9 +423,7 @@ def _run_prototype(
                 model = SubspaceModel(x, sketch.map, fx, grad, np.zeros((p, p)))
                 mode = "first_order"
             else:
-                model = replace(
-                    build_full_quadratic_model(coords, vals), base=x, map=sketch.map
-                )
+                model = build_full_quadratic_model(coords, vals, base=x, map=sketch.map)
                 mode = "second_order"
 
             sigma_m, _tau_m = model_criticality(model)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import subdfo.interp as interp_mod
 from subdfo.exceptions import (
     ContractViolationError,
     DegenerateGeometryError,
@@ -811,7 +812,8 @@ class TestFullQuadraticModel:
             assert full_quadratic_stencil(p, 1.0).tobytes() == reference(p, 1.0).tobytes()
 
     def test_model_matches_the_column_by_column_construction(self):
-        # Reference: design columns and Hessian entries filled pair by pair.
+        # Reference: design columns and Hessian entries filled pair by pair,
+        # and the coefficients as the design's inverse times the values.
         def reference(coords, values):
             m, p = coords.shape
             dbar = float(np.max(np.linalg.norm(coords, axis=1)))
@@ -822,7 +824,7 @@ class TestFullQuadraticModel:
             for i in range(p):
                 for j in range(i + 1, p):
                     cols.append(u[:, i] * u[:, j])
-            coef = np.linalg.solve(np.column_stack(cols), values)
+            coef = np.linalg.inv(np.column_stack(cols)) @ values
             hess = np.zeros((p, p))
             hess[np.diag_indices(p)] = coef[p + 1 : 2 * p + 1]
             idx = 2 * p + 1
@@ -841,6 +843,115 @@ class TestFullQuadraticModel:
             assert model.constant == const
             assert model.gradient.tobytes() == grad.tobytes()
             assert model.hessian.tobytes() == hess.tobytes()
+
+
+    @staticmethod
+    def counting_inverse(monkeypatch):
+        # Every design factorization goes through np.linalg.inv; start from
+        # an empty memo so earlier builds do not count.
+        calls = []
+        real = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or real(a))
+        interp_mod._quadratic_design.cache_clear()
+        return calls
+
+    def test_design_is_factored_once_per_stencil(self, monkeypatch):
+        calls = self.counting_inverse(monkeypatch)
+        rng = np.random.default_rng(8)
+        coords = full_quadratic_stencil(3, 0.5)
+        first = build_full_quadratic_model(coords, rng.standard_normal(len(coords)))
+        values = rng.standard_normal(len(coords))
+        second = build_full_quadratic_model(coords.copy(), values)
+        assert calls == [(10, 10)]
+        # The memo's answer is the one a fresh factorization gives.
+        interp_mod._quadratic_design.cache_clear()
+        fresh = build_full_quadratic_model(coords, values)
+        assert calls == [(10, 10), (10, 10)]
+        assert second.gradient.tobytes() == fresh.gradient.tobytes()
+        assert second.hessian.tobytes() == fresh.hessian.tobytes()
+        assert first.gradient.tobytes() != second.gradient.tobytes()
+        # A new shape is factored again.
+        coords4 = full_quadratic_stencil(4, 0.5)
+        build_full_quadratic_model(coords4, rng.standard_normal(len(coords4)))
+        assert calls == [(10, 10), (10, 10), (15, 15)]
+
+    def test_cached_design_is_read_only(self):
+        u, _ = interp_mod._unit_scale(full_quadratic_stencil(3, 0.5))
+        design, inverse = interp_mod._quadratic_design(u.shape, u.tobytes())
+        for arr in (design, inverse):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_non_poised_set_raises_on_every_call(self, monkeypatch):
+        calls = self.counting_inverse(monkeypatch)
+        coords = full_quadratic_stencil(2, 1.0)
+        coords[1] = coords[2]
+        for _ in range(3):
+            with pytest.raises(ModelConstructionError):
+                build_full_quadratic_model(coords, np.zeros(len(coords)))
+        assert len(calls) == 3
+        assert interp_mod._quadratic_design.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_raise(self, bad):
+        coords = full_quadratic_stencil(3, 0.5)
+        values = np.ones(len(coords))
+        build_full_quadratic_model(coords, values)
+        values[4] = bad
+        for _ in range(2):
+            with pytest.raises(ModelConstructionError):
+                build_full_quadratic_model(coords, values)
+
+    def test_base_and_map_are_the_model_location(self):
+        coords = full_quadratic_stencil(2, 0.5)
+        base, mat = np.arange(5.0), np.ones((5, 2))
+        model = build_full_quadratic_model(coords, np.arange(6.0), base=base, map=mat)
+        assert model.base is base
+        assert np.array_equal(model.map, mat)
+
+
+class TestOrthonormalRows:
+    @staticmethod
+    def cholesky_qr(x):
+        # Reference: the general Cholesky QR path, with its pass count.
+        c = len(x)
+        t = np.eye(c)
+        for passes in (1, 2):
+            chol = np.linalg.cholesky(x @ x.T)
+            x = np.linalg.inv(chol) @ x
+            t = chol.T @ t
+            if np.max(np.abs(x @ x.T - np.eye(c))) <= interp_mod.FRAME_ORTHO_TOL:
+                return x, t, passes
+        raise ContractViolationError("no convergence")
+
+    def test_one_row_matches_the_cholesky_path_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        passes = {1: 0, 2: 0}
+        for trial in range(600):
+            n = int(rng.integers(2, 2500))
+            # Tiny rows lose the Gram entry to underflow, so the first pass
+            # leaves them off unit length and the second pass runs.
+            scale = 10.0 ** (rng.uniform(-163, -152) if trial % 2 else rng.uniform(-5, 5))
+            x = rng.standard_normal((1, n)) * scale
+            try:
+                ref_u, ref_t, used = self.cholesky_qr(x)
+            except (np.linalg.LinAlgError, ContractViolationError):
+                with pytest.raises(ContractViolationError):
+                    interp_mod._orthonormal_rows(x)
+                continue
+            passes[used] += 1
+            u, t = interp_mod._orthonormal_rows(x)
+            assert u.tobytes() == ref_u.tobytes(), trial
+            assert t.tobytes() == ref_t.tobytes(), trial
+            # draw_orthogonal divides by t instead of applying inv(t)^T.
+            d = rng.standard_normal((1, n))
+            assert ((1.0 / t[0, 0]) * d).tobytes() == (np.linalg.inv(t).T @ d).tobytes()
+        assert passes[1] > 100 and passes[2] > 100, passes
+
+    def test_zero_row_raises(self):
+        for n in (1, 5, 300):
+            with pytest.raises(ContractViolationError):
+                interp_mod._orthonormal_rows(np.zeros((1, n)))
 
 
 class TestLagrange:

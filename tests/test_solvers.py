@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 import subdfo.solvers as solvers_mod
 from subdfo.exceptions import ContractViolationError, ModelConstructionError
-from subdfo.interp import InterpolationSet, n_quadratic_coeffs
+from subdfo.interp import InterpolationSet, full_quadratic_stencil, n_quadratic_coeffs
 from subdfo.numerics import BASIS_ORTHO_TOL, Basis, orthonormal_basis
 from subdfo.problems import Problem, make_problem
 from subdfo.records import TERMINATIONS, RunRecord
+from subdfo.seeding import derive_seed
+from subdfo.sketch import make_sketch
 from subdfo.solvers import (
     SOLVERS,
     SolverConfig,
@@ -138,6 +140,40 @@ class TestRemoveSinglePoint:
         removed = remove_single_point(iset, Basis(np.eye(2)), np.zeros(2), 1.0)
         assert np.array_equal(removed, [3.0, 0.0])
         assert calls == []
+
+
+class TestDemotionPick:
+    @staticmethod
+    def loop_pick(scores, dists, base_index):
+        # Reference: the candidate lists and generator max/min it replaced.
+        candidates = [t for t in range(len(scores)) if t != base_index]
+        smax = max(scores[t] for t in candidates)
+        tol_s = 1e-12 * max(1.0, abs(smax))
+        tied = [t for t in candidates if scores[t] >= smax - tol_s]
+        dmax = max(dists[t] for t in tied)
+        tol_d = 1e-12 * max(1.0, abs(dmax))
+        return min(t for t in tied if dists[t] >= dmax - tol_d)
+
+    def test_masked_pick_equals_the_loop_with_planted_ties(self):
+        rng = np.random.default_rng(11)
+        for trial in range(400):
+            m = int(rng.integers(2, 12))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            scores = rng.uniform(0.0, 1.0, m) * scale
+            dists = rng.uniform(0.0, 2.0, m)
+            # Ties: several points share the top score up to the tolerance,
+            # some of them also the largest distance, and the base often
+            # holds the top score and distance itself.
+            top = rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False)
+            scores[top] = scale * (1.0 + rng.choice([0.0, 1e-13, -1e-13, 1e-11], len(top)))
+            far = top[: int(rng.integers(1, len(top) + 1))]
+            dists[far] = 3.0 + rng.choice([0.0, 1e-13, -1e-13], len(far))
+            if trial % 4 == 0:
+                scores[:] = scale  # every point tied
+            for base_index in range(m):
+                got = solvers_mod._demotion_pick(scores, dists, base_index)
+                assert got == self.loop_pick(scores, dists, base_index), (trial, base_index)
+                assert got != base_index
 
 
 class TestRemoveMultiplePoints:
@@ -382,6 +418,41 @@ class TestRunRsdfo:
 
 
 class TestRunRsdfo2:
+    def test_stencil_points_are_one_product_evaluated_in_row_order(self):
+        # The first iteration evaluates x0 + S[1:] @ M^T row by row, bit for
+        # bit, with S the stencil at delta0 and M the iteration's sketch.
+        n, p = 30, 3
+        seen = []
+        base = make_problem("sphere", n)
+        prob = Problem(
+            "recorded", n, lambda x: seen.append(x.copy()) or base.raw_objective(x),
+            None, None, base.x0, 0.0,
+        )
+        cfg = SolverConfig(p=p, seed=4, max_evals=1 + n_quadratic_coeffs(p) - 1)
+        rec = run_rsdfo2(prob, cfg)
+        assert rec.termination == "budget"
+        sketch = make_sketch(cfg.sketch_kind, n, p, derive_seed(cfg.seed, "sketch", 0))
+        x0 = np.asarray(prob.x0, dtype=float)
+        want = x0 + full_quadratic_stencil(p, cfg.resolved_delta0(x0))[1:] @ sketch.map.T
+        assert len(seen) == cfg.max_evals
+        assert seen[0].tobytes() == x0.tobytes()
+        assert np.stack(seen[1:]).tobytes() == want.tobytes()
+
+    def test_budget_that_runs_out_mid_stencil_ends_at_max_evals(self):
+        # p = 2: five stencil evaluations per iteration, then at most one
+        # trial, so most of these budgets run out inside a stencil.
+        mid_stencil = 0
+        for max_evals in range(2, 40):
+            prob = make_problem("trigonometric", 6)
+            logs = []
+            cfg = SolverConfig(p=2, seed=1, max_evals=max_evals)
+            rec = run_rsdfo2(prob, cfg, log_cb=logs.append)
+            assert rec.termination == "budget", (max_evals, rec.termination, rec.error)
+            assert rec.total_evals == prob.evals == max_evals
+            left = max_evals - (logs[-1].evals_used if logs else 1)
+            mid_stencil += 0 < left < n_quadratic_coeffs(2) - 1
+        assert mid_stencil >= 20
+
     def test_trace_nonincreasing_and_budget(self):
         prob = make_problem("saddle_quartic", 4)
         cfg = SolverConfig(p=2, seed=7, max_evals=400)
