@@ -22,7 +22,13 @@ from .exceptions import (
     ModelConstructionError,
     SingularSystemError,
 )
-from .numerics import Basis, check_symmetric, economic_qr, solve_saddle_system
+from .numerics import (
+    Basis,
+    check_symmetric,
+    economic_qr,
+    identity_error,
+    solve_saddle_system,
+)
 from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
@@ -36,6 +42,8 @@ FRAME_ORTHO_TOL = 1e-14
 # A point given without coordinates extends the frame when its distance from
 # the frame's span exceeds this, relative to max(1, ||point||).
 FRAME_RESIDUAL_TOL = 1e-13
+
+_EPS = float(np.finfo(float).eps)
 
 
 class _RowStack:
@@ -95,8 +103,8 @@ def _projection_coefficients(span, coords):
 
 def _off_frame(leak, res) -> bool:
     """Whether every entry of |leak| = |res F^T| is within FRAME_ORTHO_TOL ||res_i||."""
-    tol = FRAME_ORTHO_TOL * np.sqrt(np.min(np.einsum("ij,ij->i", res, res)))
-    return bool(np.max(np.abs(leak), initial=0.0) <= tol)
+    tol = FRAME_ORTHO_TOL * math.sqrt(np.einsum("ij,ij->i", res, res).min())
+    return bool(np.abs(leak).max(initial=0.0) <= tol)
 
 
 def _orthonormal_rows(x):
@@ -127,9 +135,26 @@ def _orthonormal_rows(x):
             raise ContractViolationError("failed to draw orthogonal directions") from err
         x = np.linalg.inv(chol) @ x
         t = chol.T @ t
-        if np.max(np.abs(x @ x.T - np.eye(c))) <= FRAME_ORTHO_TOL:
+        if identity_error(x @ x.T) <= FRAME_ORTHO_TOL:
             return x, t
     raise ContractViolationError("failed to draw orthogonal directions")
+
+
+def _with_zero_row(a, b: int) -> np.ndarray:
+    """``np.insert(a, b, 0.0, axis=0)`` of a 2-D float array, by row copies."""
+    out = np.empty((len(a) + 1, a.shape[1]))
+    out[:b] = a[:b]
+    out[b] = 0.0
+    out[b + 1 :] = a[b:]
+    return out
+
+
+def _without_row(a, b: int) -> np.ndarray:
+    """``np.delete(a, b, axis=0)`` of a 2-D float array, by row copies."""
+    out = np.empty((len(a) - 1, a.shape[1]))
+    out[:b] = a[:b]
+    out[b:] = a[b + 1 :]
+    return out
 
 
 def _offsets(pts, b: int) -> np.ndarray:
@@ -289,7 +314,10 @@ class InterpolationSet:
                 self._coords = None
             else:
                 basis, z = self._coords
-                self._coords = (basis, np.vstack([z, z[self.base_index] + coords]))
+                grown = np.empty((len(z) + 1, z.shape[1]))
+                grown[:-1] = z
+                np.add(z[self.base_index], coords, out=grown[-1])
+                self._coords = (basis, grown)
 
     def _locate(self, point, coords):
         """Frame coordinates (full buffer width) of a point, and its residual.
@@ -333,7 +361,7 @@ class InterpolationSet:
             for _ in range(2):
                 draws -= span @ (span.T @ draws)
             out, r = economic_qr(draws)
-            if np.any(np.abs(np.diag(r)) <= 1e-8):
+            if (np.abs(r.diagonal()) <= 1e-8).any():
                 raise ContractViolationError("failed to draw orthogonal directions")
             return out, out
         c = draws.shape[1]
@@ -344,7 +372,10 @@ class InterpolationSet:
         coords = rows @ f.T
         y = _projection_coefficients(span, coords.T)
         # One pass gives the residuals and the lift of the projected part.
-        lifted = np.vstack([coords, (span @ y).T]) @ f
+        stacked = np.empty((2 * c, coords.shape[1]))
+        stacked[:c] = coords
+        stacked[c:] = (span @ y).T
+        lifted = stacked @ f
         res = rows - lifted[:c]
         leak = res @ f.T  # the check pass
         if not _off_frame(leak, res):
@@ -359,7 +390,11 @@ class InterpolationSet:
         # In the frame extended by the residuals the draws are [coords; tri];
         # less the projections they factor as v t, and [F; E]^T v is
         # (draws - F^T span y) t^-1, which needs no further pass.
-        v, t = _orthonormal_rows(np.hstack([coords - y.T @ span.T, tri.T]))
+        kc = coords.shape[1]
+        joined = np.empty((c, kc + c))
+        np.subtract(coords, y.T @ span.T, out=joined[:, :kc])
+        joined[:, kc:] = tri.T
+        v, t = _orthonormal_rows(joined)
         directions = rows - lifted[c:]
         if c == 1:
             return ((1.0 / t[0, 0]) * directions).T, v.T
@@ -377,6 +412,12 @@ class InterpolationSet:
         The next ``held_basis`` checks them with the rest.
         """
         base = self.base
+        # The old points have no part along the new columns.
+        z, m = self._coords[1], len(lengths)
+        t, h = z.shape
+        grown = np.zeros((t + m, h + m))
+        grown[:t, :h] = z
+        grown[t:, :h] = z[self.base_index]
         if self._frame is not None:
             wbase = self._wprimary.rows[self.base_index].copy()
         for j, (length, value) in enumerate(zip(lengths, values)):
@@ -385,14 +426,11 @@ class InterpolationSet:
                 w = wbase.copy()
                 w[: len(coords)] += length * coords[:, j]
             self._push(base + length * directions[:, j], value, w)
-        # The old points have no part along the new columns.
-        z, m = self._coords[1], len(lengths)
-        h = z.shape[1]
-        grown = np.zeros((len(z) + m, h + m))
-        grown[: len(z), :h] = z
-        grown[len(z) :, :h] = z[self.base_index]
-        grown[len(z) :, h:] = np.diag(lengths)
-        self._held = np.hstack([self._held, coords])
+            grown[t + j, h + j] = length
+        held = np.empty((len(self._held), h + m))
+        held[:, :h] = self._held
+        held[:, h:] = coords
+        self._held = held
         self._coords = (None, grown)
 
     def _make_room(self, c: int):
@@ -411,7 +449,9 @@ class InterpolationSet:
         self._frame[k : k + c] = directions.T
         self._k = k + c
         if self._held is not None and c:
-            self._held = np.vstack([self._held, np.zeros((c, self._held.shape[1]))])
+            held = np.zeros((len(self._held) + c, self._held.shape[1]))
+            held[:-c] = self._held
+            self._held = held
         return k
 
     def _compact(self, room: int):
@@ -468,7 +508,7 @@ class InterpolationSet:
             w, res = self._locate(point, coords)
             diffs = self.primary_frame_coords - w[: self._k]
             off = 0.0 if res is None else float(res @ res)
-        return bool(np.min(np.einsum("ij,ij->i", diffs, diffs)) + off <= (1e-14 * scale) ** 2)
+        return bool(np.einsum("ij,ij->i", diffs, diffs).min() + off <= (1e-14 * scale) ** 2)
 
     def move_to_secondary(self, index: int):
         """Demote primary point ``index`` to the secondary set (never the base).
@@ -488,7 +528,7 @@ class InterpolationSet:
             self.base_index -= 1
         if self._coords is not None:
             basis, z = self._coords
-            self._coords = (basis, np.delete(z, index, axis=0))
+            self._coords = (basis, _without_row(z, index))
         while len(self.secondary_values) > self.secondary_capacity:
             self._secondary.pop(0)
             if self._frame is not None:
@@ -586,7 +626,7 @@ class InterpolationSet:
         """
         q = np.zeros((self.frame_dim, 0)) if basis is None else basis.coords
         self._held = q
-        self._coords = (None, np.insert(dirs @ q, self.base_index, 0.0, axis=0))
+        self._coords = (None, _with_zero_row(dirs @ q, self.base_index))
         return q
 
     def held_basis(self) -> Optional[Basis]:
@@ -651,7 +691,7 @@ class SubspaceModel:
     def __post_init__(self):
         g = np.asarray(self.gradient, dtype=float)
         h = np.asarray(self.hessian, dtype=float)
-        if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h))):
+        if not (np.isfinite(g).all() and np.isfinite(h).all()):
             raise ModelConstructionError("model coefficients must be finite")
         self.gradient = g
         self.hessian = check_symmetric(h)
@@ -702,8 +742,8 @@ def _dedup_direction(r: int) -> np.ndarray:
     return w
 
 
-def _dedup_coords(coords, tol: float):
-    """Indices of coordinates to keep, dropping near-duplicates of earlier ones.
+def _dedup_coords(pts, tol: float):
+    """Indices of the rows of the 2-D array ``pts`` to keep, dropping near-duplicates.
 
     Greedy in order: a point is dropped when it lies within ``tol`` of an
     earlier point that was kept. Only points with some close earlier point
@@ -712,19 +752,18 @@ def _dedup_coords(coords, tol: float):
     unit vector, so the points are sorted by their projection on a fixed
     one, and distances are taken only for pairs inside that window.
     """
-    pts = np.atleast_2d(np.asarray(coords))
     m, r = pts.shape
     w = _dedup_direction(r)
     v = pts @ w
-    order = np.argsort(v, kind="stable")
+    order = v.argsort(kind="stable")
     v = v[order]
     # The window covers the roundoff of the computed distance (relative,
     # and absolute where squared gaps underflow) and of the projections,
     # whose error is at most r eps max|pts| ||w||_1, with ||w||_1 <= sqrt(r).
-    slack = 4.0 * (r + 2) * np.finfo(float).eps
-    amax = float(np.max(np.abs(pts), initial=0.0))
-    window = tol * (1.0 + slack) + slack * amax * np.sqrt(r) + 1e-150
-    counts = np.maximum(np.searchsorted(v, v + window, side="right") - np.arange(1, m + 1), 0)
+    slack = 4.0 * (r + 2) * _EPS
+    amax = float(np.abs(pts).max(initial=0.0))
+    window = tol * (1.0 + slack) + slack * amax * math.sqrt(r) + 1e-150
+    counts = np.maximum(v.searchsorted(v + window, side="right") - np.arange(1, m + 1), 0)
     if not counts.any():
         return np.arange(m)
     first = np.repeat(np.arange(m), counts)
@@ -779,29 +818,32 @@ def build_mfn_model(
     if use_secondary and len(iset.secondary):
         diffs, q_mat = iset.secondary_offsets(basis)
         sec = diffs @ q_mat
+        sec_vals = iset.secondary_values
         if max_residual is not None:
             res2 = np.einsum("ij,ij->i", diffs, diffs) - np.einsum("ij,ij->i", sec, sec)
             ok = res2 <= max_residual**2
-            if not np.all(ok):
+            if not ok.all():
                 logger.debug(
-                    "MFN: excluding %d stale secondary point(s)", int(np.sum(~ok))
+                    "MFN: excluding %d stale secondary point(s)", len(ok) - int(ok.sum())
                 )
-            sec = sec[ok]
-            sec_vals = [v for v, keep in zip(iset.secondary_values, ok) if keep]
-        else:
-            sec_vals = list(iset.secondary_values)
-        coords = np.vstack([coords, sec]) if len(sec) else coords
+                sec = sec[ok]
+                sec_vals = [v for v, keep in zip(sec_vals, ok) if keep]
+        if len(sec):
+            stacked = np.empty((len(coords) + len(sec), r))
+            stacked[: len(coords)] = coords
+            stacked[len(coords) :] = sec
+            coords = stacked
         values.extend(sec_vals)
 
     if dedup_tol is None:
-        dedup_tol = 1e-10 * max(1.0, float(np.max(np.linalg.norm(coords, axis=1))))
+        dedup_tol = 1e-10 * max(1.0, float(np.linalg.norm(coords, axis=1).max()))
     keep = _dedup_coords(coords, dedup_tol)
     if len(keep) < len(coords):
         logger.debug(
             "MFN: excluding %d duplicate projected point(s)", len(coords) - len(keep)
         )
-    coords = coords[keep]
-    values = [values[j] for j in keep]
+        coords = coords[keep]
+        values = [values[j] for j in keep]
     m = len(coords)
     if m < r + 1:
         raise ModelConstructionError(f"need at least {r + 1} distinct points, have {m}")
@@ -819,9 +861,13 @@ def build_mfn_model(
 
     gram = u @ u.T
     a_block = 0.25 * gram**2
-    x_block = np.hstack([np.ones((m, 1)), u])  # (m, r+1)
-    resid_rhs = np.array(values) - 0.5 * np.einsum("ij,ij->i", u @ h_ref_s, u)
-    rhs = np.concatenate([resid_rhs, np.zeros(r + 1)])
+    x_block = np.empty((m, r + 1))
+    x_block[:, 0] = 1.0
+    x_block[:, 1:] = u
+    vals = np.array(values)
+    rhs = np.zeros(m + r + 1)
+    resid_rhs = rhs[:m]
+    np.subtract(vals, 0.5 * np.einsum("ij,ij->i", u @ h_ref_s, u), out=resid_rhs)
 
     try:
         sol = solve_saddle_system(a_block, x_block.T, rhs)
@@ -834,24 +880,27 @@ def build_mfn_model(
     h_s = h_ref_s + 0.5 * (u.T * lam) @ u
     h_s = 0.5 * (h_s + h_s.T)
 
-    # Optimality certificate: residual of the full KKT system.
-    kkt_top = a_block @ lam + x_block @ sol[m:] - resid_rhs
-    kkt_bot = x_block.T @ lam
-    kkt_res = float(np.linalg.norm(np.concatenate([kkt_top, kkt_bot])))
-    if kkt_res > KKT_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(rhs))):
+    # Optimality certificate: residual of the full KKT system. Its norm is
+    # one dot product over the whole vector; two over its halves, summed,
+    # would round differently.
+    kkt = np.empty(m + r + 1)
+    np.add(a_block @ lam, x_block @ sol[m:], out=kkt[:m])
+    kkt[:m] -= resid_rhs
+    kkt[m:] = x_block.T @ lam
+    kkt_res = math.sqrt(kkt @ kkt)
+    if kkt_res > KKT_RESIDUAL_TOL * max(1.0, math.sqrt(rhs @ rhs)):
         raise ModelConstructionError(f"MFN KKT residual {kkt_res:.3e} too large")
 
     model = SubspaceModel(base, basis, const, grad_s / dbar, h_s / dbar**2)
-    vals = np.asarray(values)
     pred = const + u @ grad_s + 0.5 * np.einsum("ij,ij->i", u @ h_s, u)
-    if np.any(np.abs(pred - vals) > INTERP_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))):
+    if (np.abs(pred - vals) > INTERP_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))).any():
         raise ModelConstructionError("interpolation residuals exceed tolerance")
     return model
 
 
 def _unit_scale(coords):
     """Coordinates divided by their largest norm (for conditioning), and that norm."""
-    dbar = float(np.max(np.linalg.norm(coords, axis=1)))
+    dbar = float(np.linalg.norm(coords, axis=1).max())
     if dbar <= 0.0:
         dbar = 1.0
     return coords / dbar, dbar
@@ -957,6 +1006,14 @@ class LagrangeSet:
         return self.constants + self.gradients @ np.asarray(s_hat, dtype=float)
 
 
+@cache
+def _identity(m: int) -> np.ndarray:
+    """The read-only m x m identity."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
 def lagrange_from_coords(coords) -> LagrangeSet:
     """Linear Lagrange polynomials of p+1 affinely independent p-dim points."""
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -965,16 +1022,18 @@ def lagrange_from_coords(coords) -> LagrangeSet:
         raise DegenerateGeometryError(
             f"need exactly p+1 = {p + 1} points for linear Lagrange basis, got {m}"
         )
-    mat = np.hstack([np.ones((m, 1)), coords])
+    mat = np.empty((m, m))
+    mat[:, 0] = 1.0
+    mat[:, 1:] = coords
     try:
-        with np.errstate(all="ignore"):
-            inv = np.linalg.solve(mat, np.eye(m))
+        # solve sets its own floating-point error state around LAPACK.
+        inv = np.linalg.solve(mat, _identity(m))
     except np.linalg.LinAlgError as err:
         raise DegenerateGeometryError(f"affinely dependent point set: {err}") from err
-    if not np.all(np.isfinite(inv)):
+    if not np.isfinite(inv).all():
         raise DegenerateGeometryError("affinely dependent point set")
     # Cardinality: l_t(y_j) = (mat @ inv)[j, t] must be the identity.
-    if np.max(np.abs(mat @ inv - np.eye(m))) > LAGRANGE_TOL:
+    if identity_error(mat @ inv) > LAGRANGE_TOL:
         raise DegenerateGeometryError("Lagrange cardinality check failed")
     return LagrangeSet(inv[0, :].copy(), inv[1:, :].T.copy())
 

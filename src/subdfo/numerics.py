@@ -48,17 +48,17 @@ class Basis:
         q = np.atleast_2d(np.asarray(self.coords, dtype=float))
         if q.ndim != 2 or q.shape[1] == 0:
             raise ContractViolationError("basis must have at least one column")
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise ContractViolationError("basis columns must be finite")
         if self.frame is not None and self.frame.shape[0] != q.shape[0]:
             raise ContractViolationError("basis coordinates do not match the frame")
-        gram_err = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
+        gram_err = identity_error(q.T @ q)
         if gram_err > BASIS_ORTHO_TOL:
             raise ContractViolationError(
                 f"basis columns not orthonormal (max |Q^T Q - I| = {gram_err:.3e})"
             )
         object.__setattr__(self, "coords", q)
-        object.__setattr__(self, "gram_error", float(gram_err))
+        object.__setattr__(self, "gram_error", gram_err)
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -86,6 +86,36 @@ class Basis:
         if self.frame is None:
             return self.coords @ coords
         return self.frame.T @ (self.coords @ coords)
+
+
+def identity_error(g: np.ndarray) -> float:
+    """max |g - I| of a square array g, which it may overwrite.
+
+    The same value as ``np.max(np.abs(g - np.eye(len(g))))``, NaN included:
+    1 is subtracted from the diagonal in place, and no identity is formed.
+    """
+    d = g.reshape(-1)  # a view of a contiguous g, else a copy: d holds the values
+    d[:: len(g) + 1] -= 1.0
+    return float(np.abs(d, out=d).max())
+
+
+@cache
+def _strict_lower(shape) -> np.ndarray:
+    """Read-only boolean mask of the strict lower triangle of a ``shape`` array."""
+    mask = np.tri(*shape, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def upper_triangle(a: np.ndarray) -> np.ndarray:
+    """``np.triu(a)`` of a 2-D float array: a C-order copy, strict lower triangle zeroed.
+
+    The mask is cached per shape, which saves ``np.triu``'s ``np.tri`` and
+    ``np.where`` calls; the values and the C order are the same.
+    """
+    r = np.array(a, order="C")
+    r[_strict_lower(r.shape)] = 0.0
+    return r
 
 
 @cache
@@ -119,9 +149,9 @@ def economic_qr(a: np.ndarray):
     lapack = _lapack()
     qr, tau, _, info = lapack.dgeqrf(a, lwork=lwork)
     if m < n:
-        r, qr = np.triu(qr), qr[:, :m]
+        r, qr = upper_triangle(qr), qr[:, :m]
     else:
-        r = np.triu(qr[:n])
+        r = upper_triangle(qr[:n])
     q, _, info_q = lapack.dorgqr(qr, tau, lwork=lwork_q, overwrite_a=1)
     if info or info_q:
         raise ContractViolationError(f"QR of a {m}x{n} matrix failed (info {info}, {info_q})")
@@ -160,18 +190,18 @@ def orthonormal_basis(vectors) -> Basis:
     rows = np.asarray(vectors, dtype=float)
     if len(rows) == 0:
         raise EmptyBasisError("no input vectors")
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise ContractViolationError("input vectors must be finite")
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     live = norms > 0.0
-    if not np.all(live):
+    if not live.all():
         rows, norms = rows[live], norms[live]
     while len(rows) > 0:
         q, r = economic_qr(rows.T)
-        diag = np.diag(r)
+        diag = r.diagonal()
         ok = np.abs(diag) > 1e-10 * norms[: diag.size]
-        if not np.all(ok):
-            drop = np.argmin(ok)  # the first dependent vector
+        if not ok.all():
+            drop = ok.argmin()  # the first dependent vector
         elif len(rows) > diag.size:
             drop = slice(diag.size, None)
         else:
@@ -186,8 +216,8 @@ def check_symmetric(h: np.ndarray) -> np.ndarray:
     h = np.atleast_2d(np.asarray(h, dtype=float))
     if h.shape[0] != h.shape[1]:
         raise ContractViolationError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(h))) if h.size else 1.0)
-    asym = float(np.max(np.abs(h - h.T))) if h.size else 0.0
+    scale = max(1.0, float(np.abs(h).max()) if h.size else 1.0)
+    asym = float(np.abs(h - h.T).max()) if h.size else 0.0
     if asym > 1e-12 * scale:
         raise ContractViolationError(
             f"matrix not symmetric (max |H - H^T| = {asym:.3e})"
@@ -265,7 +295,7 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
             if info != 0:
                 return None
             sol, info = lapack.dsytrs(ldu, piv, rhs, lower=0)
-        if info != 0 or not np.all(np.isfinite(sol)):
+        if info != 0 or not np.isfinite(sol).all():
             return None
         res = kkt @ sol - rhs
         if math.sqrt(res @ res) > SADDLE_RESIDUAL_TOL * scale:

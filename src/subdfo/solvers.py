@@ -497,14 +497,15 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
             run.check_time()
             if rho < RADIUS_EPS:
                 raise _Stop("rho_floor")
+            base = iset.base
             if iterate_hook is not None:
-                iterate_hook(k, iset.base)
+                iterate_hook(k, iset.base)  # a copy of its own, which the hook may keep
 
             # The factor add_orthogonal_points held, with the directions it
             # added; refactored when the primary set changed since. The read
-            # is the one Basis check of the iteration. orthonormal_basis is
-            # called by name here and in add_orthogonal_points:
-            # perfbench/tracing.py times it there.
+            # runs the Basis check on it, which also covers the appended
+            # columns. orthonormal_basis is called by name here and in
+            # add_orthogonal_points: perfbench/tracing.py times it there.
             basis = iset.held_basis()
             if basis is None:
                 dirs = iset.frame_directions()
@@ -549,7 +550,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
                     remove_single_point(iset, basis, None, delta)
             else:
                 step = basis.lift(result.step)
-                trial = iset.base + step
+                trial = base + step
                 f_trial = run(trial)
                 ratio = decrease_ratio(iset.base_value, f_trial, result.predicted_decrease)
                 if ratio < config.eta1:

@@ -58,7 +58,7 @@ def _norm(v: np.ndarray) -> float:
     sq = float(v @ v)
     if not sq < _TINY:
         return math.sqrt(sq)
-    big = float(np.max(np.abs(v))) if v.size else 0.0
+    big = float(np.abs(v).max()) if v.size else 0.0
     if big == 0.0:
         return 0.0
     u = v / big
@@ -137,20 +137,21 @@ def _secular_root(c: np.ndarray, w: np.ndarray, lam_lo: float, delta: float) -> 
 
     def n2(lam):
         d = w + lam
-        with np.errstate(divide="ignore", over="ignore"):
-            val = float(np.sum(c / (d * d)))
+        val = float((c / (d * d)).sum())
         return val if math.isfinite(val) else math.inf
 
-    hi = lam_lo + max(1.0, math.sqrt(float(np.sum(c))) / delta)
-    while lam_lo < hi < math.inf and n2(hi) > target:
-        hi = lam_lo + 2.0 * (hi - lam_lo)
+    hi = lam_lo + max(1.0, math.sqrt(float(c.sum())) / delta)
+    with np.errstate(divide="ignore", over="ignore"):
+        while lam_lo < hi < math.inf and n2(hi) > target:
+            hi = lam_lo + 2.0 * (hi - lam_lo)
     if not lam_lo < hi < math.inf:
         return math.nan
     lo = lam_lo
     lam = hi
     for _ in range(100):
         d = w + lam
-        n2v = float(np.sum(c / (d * d)))
+        dd = d * d
+        n2v = float((c / dd).sum())
         nv = math.sqrt(n2v)
         if abs(nv - delta) <= 1e-13 * delta or n2v * nv == 0.0:  # converged or underflowed
             break
@@ -159,7 +160,7 @@ def _secular_root(c: np.ndarray, w: np.ndarray, lam_lo: float, delta: float) -> 
         else:
             hi = lam
         # Newton on phi(lam) = 1/nv - 1/delta; phi' = sum c/(w+lam)^3 / nv^3
-        dphi = float(np.sum(c / (d * d * d))) / (n2v * nv)
+        dphi = float((c / (dd * d)).sum()) / (n2v * nv)
         if dphi <= 0.0:
             lam = 0.5 * (lo + hi)
             continue
@@ -177,7 +178,7 @@ def _exact_trs_eig(g: np.ndarray, w: np.ndarray, v: np.ndarray, delta: float) ->
     """Global ball minimizer from a precomputed eigendecomposition of H."""
     p = g.size
     gt = v.T @ g
-    gscale = max(1.0, float(np.linalg.norm(gt)))
+    gscale = max(1.0, math.sqrt(gt @ gt))
     lam_bar = max(0.0, -float(w[0]))
 
     if w[0] > 0:
@@ -186,7 +187,8 @@ def _exact_trs_eig(g: np.ndarray, w: np.ndarray, v: np.ndarray, delta: float) ->
             return v @ s0
 
     active = np.abs(w + lam_bar) <= 1e-12 * max(1.0, abs(float(w[0])))
-    if float(np.linalg.norm(gt[active])) <= 1e-13 * gscale:
+    gta = gt[active]
+    if math.sqrt(gta @ gta) <= 1e-13 * gscale:
         s_in = np.zeros(p)
         inactive = ~active
         s_in[inactive] = -gt[inactive] / (w[inactive] + lam_bar)

@@ -334,6 +334,43 @@ class TestHeldFactor:
         assert basis.gram_error <= BASIS_ORTHO_TOL
         assert iset.held_basis() is not None
 
+    @pytest.mark.parametrize("n, p, q", [(9, 5, 11), (40, 5, 11)])
+    def test_record_equals_the_insert_and_delete_forms(self, n, p, q):
+        # hold_basis records the primary coordinates as np.insert(D Q, b, 0)
+        # did, at every base index, and a demotion deletes a row as np.delete
+        # did; 40 > 2q runs in a grown frame.
+        rng = np.random.default_rng(n + p)
+        for b in range(p + 1):
+            iset = InterpolationSet(rng.standard_normal(n), 0.0, p, q)
+            for _ in range(p):
+                iset.add_primary(rng.standard_normal(n), 1.0)
+            iset.primary_values[b] = -1.0
+            iset.recenter_to_best()
+            assert iset.base_index == b
+            dirs = iset.frame_directions()
+            q_mat = hold_fresh(iset)
+            record = iset._coords[1]
+            assert record.tobytes() == np.insert(dirs @ q_mat, b, 0.0, axis=0).tobytes()
+            assert record.flags.c_contiguous
+            index = p if b == 0 else b - 1
+            iset.move_to_secondary(index)
+            assert iset._coords[1].tobytes() == np.delete(record, index, axis=0).tobytes()
+
+    def test_row_helpers_equal_np_insert_and_np_delete(self):
+        rng = np.random.default_rng(12)
+        for rows, cols in ((1, 3), (5, 1), (26, 25), (0, 4)):
+            a = rng.standard_normal((rows, cols))
+            if a.size:
+                a.flat[0], a.flat[-1] = -0.0, np.nan
+            for b in range(rows + 1):
+                got = interp_mod._with_zero_row(a, b)
+                assert got.tobytes() == np.insert(a, b, 0.0, axis=0).tobytes()
+                assert got.shape == (rows + 1, cols) and got.flags.c_contiguous
+            for b in range(rows):
+                got = interp_mod._without_row(a, b)
+                assert got.tobytes() == np.delete(a, b, axis=0).tobytes()
+                assert got.shape == (rows - 1, cols) and got.flags.c_contiguous
+
 
 class TestFramedSet:
     def test_scripted_steps_keep_points_in_the_frame(self):

@@ -12,9 +12,11 @@ from subdfo.exceptions import (
 from subdfo.numerics import (
     Basis,
     economic_qr,
+    identity_error,
     min_eigenpair,
     orthonormal_basis,
     solve_saddle_system,
+    upper_triangle,
 )
 
 
@@ -159,6 +161,73 @@ class TestEconomicQr:
             m, n = (int(x) for x in rng.integers(1, 160, size=2))
             a = rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8.0, 2.0, size=n)
             self._assert_bit_equal(a if rng.random() < 0.5 else np.asfortranarray(a))
+
+
+class TestUpperTriangle:
+    """upper_triangle gives np.triu's values and memory order, bit for bit."""
+
+    @staticmethod
+    def _assert_bit_equal(a):
+        before = a.copy()
+        ref = np.triu(a)
+        r = upper_triangle(a)
+        assert np.array_equal(a, before, equal_nan=True)
+        assert r.shape == ref.shape and r.dtype == ref.dtype
+        assert r.tobytes() == ref.tobytes()
+        assert r.flags.c_contiguous == ref.flags.c_contiguous
+        assert not np.shares_memory(r, a)
+
+    @pytest.mark.parametrize("m, n", [(100, 25), (25, 25), (12, 30), (1, 1), (1, 7), (7, 1)])
+    def test_tall_square_wide_and_one_by_one(self, m, n):
+        rng = np.random.default_rng(m * n)
+        a = rng.standard_normal((m, n))
+        a[rng.random((m, n)) < 0.1] = -0.0
+        a[rng.random((m, n)) < 0.05] = np.nan
+        for arr in (a, np.asfortranarray(a), np.asfortranarray(a)[: max(1, m // 2)]):
+            self._assert_bit_equal(arr)
+
+    def test_the_factor_of_a_qr(self):
+        # economic_qr's R is the triangle of geqrf's Fortran-order output.
+        rng = np.random.default_rng(3)
+        for m, n in ((100, 25), (12, 12), (5, 9)):
+            qr = scipy.linalg.lapack.dgeqrf(rng.standard_normal((m, n)))[0]
+            self._assert_bit_equal(qr[: min(m, n)] if m >= n else qr)
+
+
+def _old_identity_error(g):
+    return np.max(np.abs(g - np.eye(len(g))))
+
+
+class TestIdentityError:
+    """identity_error gives max |X X^T - I| as the eye-subtracting form did."""
+
+    def test_random_products(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            c = int(rng.integers(1, 40))
+            x = rng.standard_normal((c, int(rng.integers(c, 60))))
+            if rng.random() < 0.5:
+                x = np.linalg.qr(x.T)[0].T  # near-orthonormal rows
+            ref = _old_identity_error(x @ x.T)
+            got = identity_error(x @ x.T)
+            assert type(got) is float and got == ref, (got, ref)
+
+    def test_nan_and_inf_entries(self):
+        rng = np.random.default_rng(6)
+        for c in (1, 2, 5, 25):
+            for bad in (np.nan, np.inf, -np.inf):
+                g = np.eye(c) + 1e-15 * rng.standard_normal((c, c))
+                g[int(rng.integers(c)), int(rng.integers(c))] = bad
+                ref = _old_identity_error(g)
+                got = identity_error(g.copy())
+                assert (np.isnan(got) and np.isnan(ref)) or got == ref, (c, bad)
+
+    def test_non_contiguous_input(self):
+        # A strided g is read through a copy, so the result is still exact.
+        rng = np.random.default_rng(7)
+        g = rng.standard_normal((12, 12))
+        view = np.asfortranarray(g)[::2, ::2]
+        assert identity_error(view) == _old_identity_error(view)
 
 
 class TestBasisType:

@@ -1,6 +1,8 @@
 import logging
 import math
+import os
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -965,6 +967,47 @@ class TestRunRsdfoq:
         cfg = SolverConfig(p=5, seed=6, max_evals=10**6, max_time=0.3)
         rec = run_rsdfoq(prob, cfg)
         assert rec.termination == "time"
+
+
+NUMPY_DIR = os.path.dirname(np.__file__)
+
+# Python-level calls into NumPy allowed per rsdfoq iteration.
+NUMPY_CALLS_PER_ITERATION = 300
+
+
+@pytest.mark.parametrize("n, p, q", [(100, 25, 51), (12, 12, 91), (30, 5, 11)])
+def test_numpy_python_calls_per_iteration(n, p, q):
+    """A guard against per-call overhead creeping back into the rsdfoq loop.
+
+    Counts the "call" events (generator resumptions included) of Python code
+    under NumPy's package directory, as ``sys.setprofile`` reports them, over
+    a short seed-0 run after a warm-up run. Each NumPy wrapper such as
+    ``np.max``, ``np.all``, ``np.hstack`` or ``np.insert`` makes several; a
+    method such as ``x.max()`` makes one, a ufunc none. The count is
+    deterministic but depends on the NumPy version: with NumPy 2.4.6 the
+    loop made about 350, 420 and 360 before its hot path dropped these
+    wrappers, and about 150, 185 and 155 after.
+    """
+    prob = make_problem("chained_rosenbrock", n)
+    cfg = SolverConfig(p=p, q=q, seed=0, max_evals=400)
+    run_rsdfoq(prob, cfg)  # fills the per-shape caches
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(NUMPY_DIR):
+            calls += 1
+
+    starts = []
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        rec = run_rsdfoq(prob, cfg, iterate_hook=lambda k, x: starts.append(k))
+    finally:
+        sys.setprofile(previous)
+    assert rec.termination == "budget", rec.termination
+    assert len(starts) > 100
+    assert calls <= NUMPY_CALLS_PER_ITERATION * len(starts), calls / len(starts)
 
 
 def frame_errors(iset):
