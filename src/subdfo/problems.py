@@ -66,9 +66,7 @@ def _sphere(n: int) -> Problem:
 
 def _chained_rosenbrock(n: int) -> Problem:
     def f(x):
-        return float(
-            np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
-        )
+        return float((100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2).sum())
 
     def grad(x):
         g = np.zeros_like(x)
@@ -97,12 +95,13 @@ def _low_rank_quadratic(n: int, r: int) -> Problem:
     rng = derive_rng(0xC0FFEE, "low_rank_quadratic", n, r)
     u, _ = np.linalg.qr(rng.standard_normal((n, r)))
     lam = np.logspace(0.0, 2.0, r)
+    half_lam = 0.5 * lam
 
     # Held as the n x r factor: value and gradient cost O(nr). The dense
     # n x n Hessian is formed only when asked for, once.
     def f(x):
         z = u.T @ x
-        return float(0.5 * lam @ (z * z))
+        return float(half_lam @ (z * z))
 
     @cache
     def dense_hessian():
@@ -125,7 +124,7 @@ def _saddle_quartic(n: int) -> Problem:
     # global minimum -1/4 at x2 = +-1/sqrt(2). Default start away from the
     # saddle; diagnostics can restart it there explicitly.
     def f(x):
-        return float(x[0] ** 2 - x[1] ** 2 + x[1] ** 4 + np.sum(x[2:] ** 2))
+        return float(x[0] ** 2 - x[1] ** 2 + x[1] ** 4 + (x[2:] ** 2).sum())
 
     def grad(x):
         g = 2.0 * x
@@ -146,7 +145,7 @@ def _sum_of_powers(n: int) -> Problem:
     powers = 2.0 + 2.0 * (np.arange(n) % 3)
 
     def f(x):
-        return float(np.sum(x**powers))
+        return float((x**powers).sum())
 
     def grad(x):
         return powers * x ** (powers - 1)
@@ -163,7 +162,8 @@ def _trigonometric(n: int) -> Problem:
     idx = np.arange(1, n + 1, dtype=float)
 
     def residuals(x):
-        return n - np.sum(np.cos(x)) + idx * (1.0 - np.cos(x)) - np.sin(x)
+        c = np.cos(x)
+        return n - c.sum() + idx * (1.0 - c) - np.sin(x)
 
     def f(x):
         r = residuals(x)

@@ -3,6 +3,11 @@
 Every source of randomness in the package is a pure function of a master
 seed plus a structural key (iteration index, trial index, problem name, ...),
 so traces are reproducible regardless of call order or parallel scheduling.
+
+Some streams belong to one run, such as the sketch stream of ``rsdfo`` and
+``rsdfo2``, ``derive_rng(seed, "sketch")``. The run draws from it in
+iteration order, one draw per iteration, so the k-th draw is still a
+function of (seed, key, k) alone.
 """
 
 import zlib

@@ -9,6 +9,7 @@ theory.
 
 import math
 from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -28,11 +29,11 @@ class SketchMatrix:
 
     map: np.ndarray
     kind: str
-    seed: int
+    seed: Optional[int]  # None when drawn from a caller's Generator
 
     def __post_init__(self):
         m = np.atleast_2d(np.asarray(self.map, dtype=float))
-        if not np.all(np.isfinite(m)):
+        if not np.isfinite(m).all():
             raise ContractViolationError("sketch entries must be finite")
         if self.kind not in SKETCH_KINDS:
             raise ContractViolationError(f"unknown sketch kind {self.kind!r}")
@@ -44,26 +45,40 @@ def _check_dims(n: int, p: int):
         raise ContractViolationError(f"need 1 <= p <= n, got p={p}, n={n}")
 
 
-def gaussian_sketch(n: int, p: int, seed: int) -> SketchMatrix:
+def _source(seed: Union[int, np.random.Generator], key: str):
+    """The Generator to draw from and the seed to record.
+
+    A Generator is drawn from as it is, and no seed is recorded. An int seed
+    gets a fresh Generator of its own, derived from (seed, key).
+    """
+    if isinstance(seed, np.random.Generator):
+        return seed, None
+    return derive_rng(seed, key), int(seed)
+
+
+def gaussian_sketch(n: int, p: int, seed: Union[int, np.random.Generator]) -> SketchMatrix:
     """Sketch with independent N(0, 1/p) entries."""
     _check_dims(n, p)
-    rng = derive_rng(seed, "gaussian")
-    mat = rng.standard_normal((n, p)) / math.sqrt(p)
-    return SketchMatrix(mat, "gaussian", int(seed))
+    rng, seed = _source(seed, "gaussian")
+    mat = rng.standard_normal((n, p))
+    mat /= math.sqrt(p)  # in place: the bits of mat / sqrt(p)
+    return SketchMatrix(mat, "gaussian", seed)
 
 
-def scaled_orthonormal_sketch(n: int, p: int, seed: int) -> SketchMatrix:
+def scaled_orthonormal_sketch(
+    n: int, p: int, seed: Union[int, np.random.Generator]
+) -> SketchMatrix:
     """First p columns of a Haar-random orthogonal matrix, scaled by sqrt(n/p).
 
     Drawn as the sign-fixed QR factor of an n x p Gaussian matrix, which has
     the same distribution as the leading columns of a Haar orthogonal matrix.
     """
     _check_dims(n, p)
-    rng = derive_rng(seed, "orthonormal")
+    rng, seed = _source(seed, "orthonormal")
     g = rng.standard_normal((n, p))
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.diag(r))  # fix signs for the Haar distribution
-    return SketchMatrix(q * math.sqrt(n / p), "scaled_orthonormal", int(seed))
+    return SketchMatrix(q * math.sqrt(n / p), "scaled_orthonormal", seed)
 
 
 def identity_sketch(n: int) -> SketchMatrix:
@@ -71,7 +86,15 @@ def identity_sketch(n: int) -> SketchMatrix:
     return SketchMatrix(np.eye(n), "identity", 0)
 
 
-def make_sketch(kind: str, n: int, p: int, seed: int) -> SketchMatrix:
+def make_sketch(
+    kind: str, n: int, p: int, seed: Union[int, np.random.Generator]
+) -> SketchMatrix:
+    """One n x p sketch of the given kind.
+
+    ``seed`` is an int or a Generator, as for ``np.random.default_rng``. An
+    int gives the same map on every call; a Generator gives its next draw,
+    so a run that holds one Generator draws a new map per call.
+    """
     if kind == "gaussian":
         return gaussian_sketch(n, p, seed)
     if kind == "scaled_orthonormal":

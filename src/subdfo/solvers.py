@@ -34,7 +34,7 @@ from .interp import (
 )
 from .numerics import Basis, orthonormal_basis
 from .records import RunRecord
-from .seeding import derive_rng, derive_seed
+from .seeding import derive_rng
 from .sketch import SKETCH_KINDS, make_sketch
 from .trs import decrease_ratio, solve_trs
 
@@ -382,6 +382,9 @@ def _run_prototype(
         delta = config.resolved_delta0(x)
         model_critical = False
         floor = config.rho_end if config.rho_end > 0.0 else RADIUS_EPS
+        # One stream per run. Every iteration draws exactly one sketch from
+        # it, so iteration k's map is a function of (seed, k).
+        sketch_rng = derive_rng(config.seed, "sketch")
         k = 0
         while True:
             if delta < floor:
@@ -390,9 +393,7 @@ def _run_prototype(
                 iterate_hook(k, x)
             run.check_time()
 
-            sketch = make_sketch(
-                config.sketch_kind, n, p, derive_seed(config.seed, "sketch", k)
-            )
+            sketch = make_sketch(config.sketch_kind, n, p, sketch_rng)
             if order == "first":
                 coords = np.vstack([np.zeros(p), delta * np.eye(p)])
             else:

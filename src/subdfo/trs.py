@@ -238,12 +238,17 @@ def solve_trs(model: SubspaceModel, delta: float, mode: str = "first_order") -> 
             refined = refined * (delta / nrm)
         candidates.append((refined, "refined"))
 
-    results = [_result(model, delta, step, kind, gnorm, hnorm, tau) for step, kind in candidates]
-    finite = [r for r in results if math.isfinite(r.predicted_decrease)]
-    best = max(finite, key=lambda r: r.predicted_decrease, default=None)
-    if best is None or best.predicted_decrease <= 0.0:
+    # The first candidate with the largest finite decrease wins; only it
+    # gets its certificates and a result.
+    best, best_dec = None, -math.inf
+    for cand in candidates:
+        dec = _decrease(model, cand[0])
+        if math.isfinite(dec) and dec > best_dec:
+            best, best_dec = cand, dec
+    if best_dec <= 0.0:  # also when no decrease is finite
         return TrsResult(np.zeros(model.dim), 0.0, "cauchy", False, False)
-    return best
+    step, kind = best
+    return TrsResult(step, best_dec, kind, *_flags(best_dec, delta, gnorm, hnorm, tau))
 
 
 def decrease_ratio(f_current: float, f_trial: float, predicted_decrease: float) -> float:

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -103,12 +104,18 @@ class TestOracles:
         assert p.evals == 17
 
 
-def dense_low_rank_hessian(n, r):
-    # The dense matrix the problem was defined by: 0.5 (a + a^T) with
-    # a = U diag(lam) U^T, U the seeded orthonormal n x r frame.
+def low_rank_frame(n, r):
+    """The seeded orthonormal n x r frame U and the eigenvalues lam."""
     rng = derive_rng(0xC0FFEE, "low_rank_quadratic", n, r)
     u, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    a = u @ (np.logspace(0.0, 2.0, r)[:, None] * u.T)
+    return u, np.logspace(0.0, 2.0, r)
+
+
+def dense_low_rank_hessian(n, r):
+    # The dense matrix the problem was defined by: 0.5 (a + a^T) with
+    # a = U diag(lam) U^T.
+    u, lam = low_rank_frame(n, r)
+    a = u @ (lam[:, None] * u.T)
     return 0.5 * (a + a.T)
 
 
@@ -151,6 +158,66 @@ class TestLowRankQuadratic:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+def _previous_objective(name, n):
+    """The catalog objective as written before it dropped np.sum's wrapper."""
+    if name == "chained_rosenbrock":
+        return lambda x: float(
+            np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2)
+        )
+    if name == "saddle_quartic":
+        return lambda x: float(x[0] ** 2 - x[1] ** 2 + x[1] ** 4 + np.sum(x[2:] ** 2))
+    if name == "sum_of_powers":
+        powers = 2.0 + 2.0 * (np.arange(n) % 3)
+        return lambda x: float(np.sum(x**powers))
+    if name == "trigonometric":
+        idx = np.arange(1, n + 1, dtype=float)
+
+        def f(x):
+            r = n - np.sum(np.cos(x)) + idx * (1.0 - np.cos(x)) - np.sin(x)
+            return float(r @ r)
+
+        return f
+    assert name == "low_rank_quadratic"  # at its default rank
+    u, lam = low_rank_frame(n, min(5, n))
+
+    def f(x):
+        z = u.T @ x
+        return float(0.5 * lam @ (z * z))
+
+    return f
+
+
+def _objective_inputs(n):
+    rng = np.random.default_rng(n)
+    xs = list(rng.standard_normal((20, n)) * 10.0 ** rng.uniform(-3, 3, (20, 1)))
+    xs.append(np.zeros(n))
+    xs.append(np.full(n, 1e200))  # every power overflows to inf
+    xs.append(rng.standard_normal(n) * 1e160)
+    for bad in (np.inf, -np.inf, np.nan):
+        for i in sorted({0, 1, n - 1}):
+            x = rng.standard_normal(n)
+            x[i] = bad
+            xs.append(x)
+    return xs
+
+
+class TestObjectiveBits:
+    @pytest.mark.parametrize(
+        "name",
+        ["chained_rosenbrock", "low_rank_quadratic", "saddle_quartic", "sum_of_powers",
+         "trigonometric"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 1000])
+    def test_equals_the_previous_expression(self, name, n):
+        f = make_problem(name, n).raw_objective
+        ref = _previous_objective(name, n)
+        with np.errstate(all="ignore"):
+            for x in _objective_inputs(n):
+                got, want = f(x), ref(x)
+                assert np.array_equal(got, want, equal_nan=True), (x, got, want)
+                assert math.copysign(1.0, got) == math.copysign(1.0, want) or math.isnan(got)
 
 
 class TestTrueCriticality:

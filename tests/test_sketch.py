@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from subdfo.exceptions import ContractViolationError
+from subdfo.seeding import derive_rng
 from subdfo.sketch import (
     default_p_max,
     estimate_alignment_probability,
@@ -67,6 +68,49 @@ class TestScaledOrthonormalSketch:
         sk = scaled_orthonormal_sketch(30, 6, 5)
         norms = np.linalg.norm(sk.map, axis=0)
         assert np.allclose(norms, math.sqrt(30 / 6), atol=1e-10)
+
+
+class TestSketchSources:
+    """An int seed keeps its per-kind recipe; a Generator is drawn from in order."""
+
+    SHAPES = [(1, 1), (5, 2), (30, 3), (1000, 8)]
+
+    @staticmethod
+    def orthonormal_reference(g, n, p):
+        q, r = np.linalg.qr(g)
+        q = q * np.sign(np.diag(r))
+        return q * math.sqrt(n / p)
+
+    @pytest.mark.parametrize("n,p", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+    def test_int_seed_keeps_its_bits(self, n, p, seed):
+        sk = make_sketch("gaussian", n, p, seed)
+        want = derive_rng(seed, "gaussian").standard_normal((n, p)) / math.sqrt(p)
+        assert sk.map.tobytes() == want.tobytes()
+        assert sk.seed == seed
+        sk = make_sketch("scaled_orthonormal", n, p, seed)
+        g = derive_rng(seed, "orthonormal").standard_normal((n, p))
+        assert sk.map.tobytes() == self.orthonormal_reference(g, n, p).tobytes()
+        assert sk.seed == seed
+
+    @pytest.mark.parametrize("n,p", SHAPES)
+    def test_generator_gives_its_next_draws(self, n, p):
+        rng, ref = derive_rng(3, "sketch"), derive_rng(3, "sketch")
+        for _ in range(3):
+            sk = make_sketch("gaussian", n, p, rng)
+            want = ref.standard_normal((n, p)) / math.sqrt(p)
+            assert sk.map.tobytes() == want.tobytes()
+            assert sk.seed is None
+        sk = make_sketch("scaled_orthonormal", n, p, rng)
+        want = self.orthonormal_reference(ref.standard_normal((n, p)), n, p)
+        assert sk.map.tobytes() == want.tobytes()
+        assert sk.seed is None
+
+    def test_identity_draws_nothing(self):
+        rng = derive_rng(3, "sketch")
+        state = rng.bit_generator.state
+        assert np.array_equal(make_sketch("identity", 4, 4, rng).map, np.eye(4))
+        assert rng.bit_generator.state == state
 
 
 class TestWellAligned:

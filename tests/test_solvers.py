@@ -16,7 +16,7 @@ from subdfo.interp import InterpolationSet, full_quadratic_stencil, n_quadratic_
 from subdfo.numerics import BASIS_ORTHO_TOL, Basis, orthonormal_basis
 from subdfo.problems import Problem, make_problem
 from subdfo.records import TERMINATIONS, RunRecord
-from subdfo.seeding import derive_seed
+from subdfo.seeding import derive_rng
 from subdfo.sketch import make_sketch
 from subdfo.solvers import (
     SOLVERS,
@@ -422,7 +422,8 @@ class TestRunRsdfo:
 class TestRunRsdfo2:
     def test_stencil_points_are_one_product_evaluated_in_row_order(self):
         # The first iteration evaluates x0 + S[1:] @ M^T row by row, bit for
-        # bit, with S the stencil at delta0 and M the iteration's sketch.
+        # bit, with S the stencil at delta0 and M the first draw of the
+        # run's sketch stream.
         n, p = 30, 3
         seen = []
         base = make_problem("sphere", n)
@@ -433,12 +434,40 @@ class TestRunRsdfo2:
         cfg = SolverConfig(p=p, seed=4, max_evals=1 + n_quadratic_coeffs(p) - 1)
         rec = run_rsdfo2(prob, cfg)
         assert rec.termination == "budget"
-        sketch = make_sketch(cfg.sketch_kind, n, p, derive_seed(cfg.seed, "sketch", 0))
+        sketch = make_sketch(cfg.sketch_kind, n, p, derive_rng(cfg.seed, "sketch"))
         x0 = np.asarray(prob.x0, dtype=float)
         want = x0 + full_quadratic_stencil(p, cfg.resolved_delta0(x0))[1:] @ sketch.map.T
         assert len(seen) == cfg.max_evals
         assert seen[0].tobytes() == x0.tobytes()
         assert np.stack(seen[1:]).tobytes() == want.tobytes()
+
+    def test_one_sketch_stream_per_run(self, monkeypatch):
+        # Iteration k's map is the k-th draw of derive_rng(seed, "sketch"):
+        # equal seeds give equal maps and records, and each iteration gets
+        # a fresh map.
+        maps = []
+
+        def spy(*args):
+            sketch = make_sketch(*args)
+            maps.append(sketch.map)
+            return sketch
+
+        monkeypatch.setattr(solvers_mod, "make_sketch", spy)
+        n, p = 20, 3
+        cfg = SolverConfig(p=p, seed=11, max_evals=300)
+        runs = []
+        for _ in range(2):
+            maps.clear()
+            rec = run_rsdfo2(make_problem("trigonometric", n), cfg)
+            runs.append((repr(rec.to_dict(include_wall_time=False)), list(maps)))
+        (rec_a, maps_a), (rec_b, maps_b) = runs
+        assert rec_a == rec_b
+        assert len(maps_a) == len(maps_b) >= 2
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(maps_a, maps_b))
+        assert maps_a[0].tobytes() != maps_a[1].tobytes()
+        stream = derive_rng(cfg.seed, "sketch")
+        for m in maps_a:
+            assert m.tobytes() == make_sketch("gaussian", n, p, stream).map.tobytes()
 
     def test_budget_that_runs_out_mid_stencil_ends_at_max_evals(self):
         # p = 2: five stencil evaluations per iteration, then at most one

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import subdfo.solvers as solvers_mod
+from subdfo import trs
 from subdfo.exceptions import ContractViolationError
 from subdfo.interp import SubspaceModel
+from subdfo.problems import make_problem
+from subdfo.solvers import SolverConfig, run_rsdfo2, run_rsdfoq
 from subdfo.trs import cauchy_step, decrease_ratio, eigen_step, solve_trs
 
 
@@ -286,6 +290,76 @@ class TestSolveTrs:
             res = solve_trs(m, delta, "second_order")
             assert np.all(np.isfinite(res.step))
             assert 0.0 < res.predicted_decrease < math.inf
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def three_result_solve_trs(m, delta, mode):
+    """solve_trs as it was when it built a full TrsResult for every candidate."""
+    w, v, gnorm, hnorm, tau = trs._spectrum(m, delta)
+    candidates = []
+    if gnorm > 0.0:
+        candidates.append((trs._cauchy(m, delta, gnorm), "cauchy"))
+    if mode == "second_order" and tau > 0.0:
+        candidates.append((trs._eigen(m, delta, v, gnorm), "eigen"))
+    if candidates:
+        refined = trs._exact_trs_eig(m.gradient, w, v, delta)
+        nrm = trs._norm(refined)
+        if nrm > delta:
+            refined = refined * (delta / nrm)
+        candidates.append((refined, "refined"))
+    results = [trs._result(m, delta, step, kind, gnorm, hnorm, tau) for step, kind in candidates]
+    finite = [r for r in results if math.isfinite(r.predicted_decrease)]
+    best = max(finite, key=lambda r: r.predicted_decrease, default=None)
+    if best is None or best.predicted_decrease <= 0.0:
+        return trs.TrsResult(np.zeros(m.dim), 0.0, "cauchy", False, False)
+    return best
+
+
+def captured_models():
+    """(model, delta) of every solve_trs call in two short solver runs."""
+    seen = []
+
+    def spy(model, delta, mode):
+        seen.append((model, delta))
+        return solve_trs(model, delta, mode)
+
+    mp = pytest.MonkeyPatch()
+    mp.setattr(solvers_mod, "solve_trs", spy)
+    try:
+        run_rsdfoq(make_problem("saddle_quartic", 12), SolverConfig(p=4, seed=0, max_evals=300))
+        run_rsdfo2(make_problem("trigonometric", 12), SolverConfig(p=3, seed=0, max_evals=300))
+    finally:
+        mp.undo()
+    return seen
+
+
+class TestOneResult:
+    def assert_same(self, m, delta):
+        for mode in ("first_order", "second_order"):
+            got = solve_trs(m, delta, mode)
+            want = three_result_solve_trs(m, delta, mode)
+            assert got.step.tobytes() == want.step.tobytes()
+            assert np.float64(got.predicted_decrease).tobytes() == np.float64(
+                want.predicted_decrease
+            ).tobytes()
+            assert got.kind == want.kind
+            assert got.certified_first_order == want.certified_first_order
+            assert got.certified_second_order == want.certified_second_order
+
+    def test_random_models(self):
+        rng = np.random.default_rng(21)
+        for _ in range(400):
+            m = random_model(rng)
+            scale = 10.0 ** float(rng.choice([0.0, 150.0, 300.0, -160.0]))
+            if scale != 1.0:
+                m = model(m.gradient * scale, m.hessian * 10.0 ** float(rng.uniform(-2, 2)))
+            self.assert_same(m, 10.0 ** float(rng.uniform(-3, 2)))
+
+    def test_captured_models(self):
+        seen = captured_models()
+        assert len(seen) > 30
+        for m, delta in seen:
+            self.assert_same(m, delta)
 
 
 class TestDecreaseRatio:
