@@ -10,7 +10,7 @@ class EmptyBasisError(ValueError):
 
 
 class SingularSystemError(RuntimeError):
-    """A linear system was singular beyond the regularization threshold."""
+    """A linear system met an exactly singular pivot or gave a non-finite solution."""
 
 
 class ModelConstructionError(RuntimeError):

@@ -33,9 +33,13 @@ from .seeding import derive_rng
 
 logger = logging.getLogger(__name__)
 
-INTERP_RESIDUAL_TOL = 1e-9  # relative interpolation residual accepted
-KKT_RESIDUAL_TOL = 1e-8  # optimality certificate for the MFN solve
-LAGRANGE_TOL = 1e-8  # cardinality-condition tolerance
+# Interpolation residual accepted from a model build. It is the only
+# acceptance check of an MFN build, at each point relative to max(1, |f|);
+# a full quadratic build checks the residual's norm relative to
+# max(1, ||f||).
+INTERP_RESIDUAL_TOL = 1e-9
+# Largest entry of |M M^-1 - I| accepted for a linear Lagrange system M.
+LAGRANGE_TOL = 1e-8
 # Largest entry of |D D^T - I| and of |D F^T| accepted for new frame rows D
 # before they are orthogonalized again.
 FRAME_ORTHO_TOL = 1e-14
@@ -792,8 +796,10 @@ def build_mfn_model(
     Solves for the symmetric Hessian closest (Frobenius) to the previous
     model Hessian re-projected into the current subspace, subject to
     interpolating all primary and projected secondary values. The solve goes
-    through the standard saddle-point system in scaled coordinates; the
-    optimality certificate is its residual.
+    through the standard saddle-point system in scaled coordinates, factored
+    once. The model is accepted when it reproduces every interpolated value
+    to INTERP_RESIDUAL_TOL relative to max(1, |f|); otherwise, or when the
+    system is exactly singular, ModelConstructionError is raised.
 
     Secondary values are used at face value at their projected coordinates.
     When ``max_residual`` is given, secondary points whose out-of-subspace
@@ -866,8 +872,7 @@ def build_mfn_model(
     x_block[:, 1:] = u
     vals = np.array(values)
     rhs = np.zeros(m + r + 1)
-    resid_rhs = rhs[:m]
-    np.subtract(vals, 0.5 * np.einsum("ij,ij->i", u @ h_ref_s, u), out=resid_rhs)
+    np.subtract(vals, 0.5 * np.einsum("ij,ij->i", u @ h_ref_s, u), out=rhs[:m])
 
     try:
         sol = solve_saddle_system(a_block, x_block.T, rhs)
@@ -880,18 +885,8 @@ def build_mfn_model(
     h_s = h_ref_s + 0.5 * (u.T * lam) @ u
     h_s = 0.5 * (h_s + h_s.T)
 
-    # Optimality certificate: residual of the full KKT system. Its norm is
-    # one dot product over the whole vector; two over its halves, summed,
-    # would round differently.
-    kkt = np.empty(m + r + 1)
-    np.add(a_block @ lam, x_block @ sol[m:], out=kkt[:m])
-    kkt[:m] -= resid_rhs
-    kkt[m:] = x_block.T @ lam
-    kkt_res = math.sqrt(kkt @ kkt)
-    if kkt_res > KKT_RESIDUAL_TOL * max(1.0, math.sqrt(rhs @ rhs)):
-        raise ModelConstructionError(f"MFN KKT residual {kkt_res:.3e} too large")
-
     model = SubspaceModel(base, basis, const, grad_s / dbar, h_s / dbar**2)
+    # The acceptance check: the model reproduces every value it interpolates.
     pred = const + u @ grad_s + 0.5 * np.einsum("ij,ij->i", u @ h_s, u)
     if (np.abs(pred - vals) > INTERP_RESIDUAL_TOL * np.maximum(1.0, np.abs(vals))).any():
         raise ModelConstructionError("interpolation residuals exceed tolerance")

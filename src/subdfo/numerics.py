@@ -10,7 +10,6 @@ never make one, and importing ``scipy.linalg`` costs more than the rest of
 the package.
 """
 
-import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Optional
@@ -21,9 +20,6 @@ from .exceptions import ContractViolationError, EmptyBasisError, SingularSystemE
 
 # Orthonormality tolerance enforced on every Basis instance.
 BASIS_ORTHO_TOL = 1e-12
-
-# Relative residual accepted from a saddle-point solve.
-SADDLE_RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -257,15 +253,14 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
 
     ``a`` is the symmetric top-left block (m x m), ``b`` the coupling block
     (k x m) and ``rhs`` the full right-hand side of length m + k.
-    Near-singular systems are retried once with a small inertia-preserving
-    ridge; anything worse raises SingularSystemError.
 
-    Each attempt factors the system with LAPACK ``dsytrf`` (upper triangle,
-    optimal workspace) and solves with ``dsytrs``, which gives the bits of
-    ``scipy.linalg.solve(assume_a="sym")``. An exactly singular pivot fails
-    the attempt; otherwise the residual against the unregularized system,
-    within SADDLE_RESIDUAL_TOL relative to max(1, ||rhs||), decides, so no
-    conditioning estimate is formed.
+    The system is factored once with LAPACK ``dsytrf`` (upper triangle,
+    optimal workspace) and solved with ``dsytrs``, which gives the bits of
+    ``scipy.linalg.solve(assume_a="sym")``. Raises SingularSystemError only
+    when the factorization meets an exactly singular pivot or the solution
+    is not finite. There is no residual check and no retry with a ridge:
+    whether the solution is accurate enough is the caller's decision
+    (``interp.build_mfn_model`` checks its interpolation residuals).
     """
     a = np.atleast_2d(np.asarray(a, dtype=float))
     m = a.shape[0]
@@ -283,34 +278,11 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
     if rhs.shape != (m + k,):
         raise ContractViolationError("rhs length inconsistent with blocks")
 
-    scale = max(1.0, math.sqrt(rhs @ rhs))
-    lwork = _sytrf_lwork(m + k)
     lapack = _lapack()
-
-    def attempt(mat):
-        # The residual below is the check: LAPACK's exact-singularity flag
-        # is the only failure taken from the factorization.
-        with np.errstate(all="ignore"):
-            ldu, piv, info = lapack.dsytrf(mat, lower=0, lwork=lwork)
-            if info != 0:
-                return None
+    with np.errstate(all="ignore"):
+        ldu, piv, info = lapack.dsytrf(kkt, lower=0, lwork=_sytrf_lwork(m + k))
+        if info == 0:
             sol, info = lapack.dsytrs(ldu, piv, rhs, lower=0)
-        if info != 0 or not np.isfinite(sol).all():
-            return None
-        res = kkt @ sol - rhs
-        if math.sqrt(res @ res) > SADDLE_RESIDUAL_TOL * scale:
-            return None
-        return sol
-
-    sol = attempt(kkt)
-    if sol is None:
-        # Ridge fallback: +ridge on the A block, -ridge on the zero block,
-        # which preserves the saddle inertia.
-        ridge = 1e-12 * max(1.0, float(np.linalg.norm(np.diag(kkt))))
-        reg = kkt + ridge * np.diag(np.concatenate([np.ones(m), -np.ones(k)]))
-        sol = attempt(reg)
-    if sol is None:
-        raise SingularSystemError(
-            f"{m + k}x{m + k} saddle system singular beyond regularization"
-        )
+    if info != 0 or not np.isfinite(sol).all():
+        raise SingularSystemError(f"{m + k}x{m + k} saddle system singular")
     return sol

@@ -720,7 +720,7 @@ class TestBuildMfnModel:
     def test_infeasible_collinear_constraints_raise(self):
         # Four distinct collinear points carrying cubic values cannot be
         # interpolated by any quadratic restricted to that line, so the KKT
-        # system is inconsistent even after regularization.
+        # system is inconsistent.
         basis = Basis(np.eye(2))
         iset = make_set(
             [0.0, 0.0], 0.0, 2, 6,

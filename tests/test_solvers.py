@@ -645,6 +645,48 @@ class TestRunRsdfoq:
             assert all(n1 == p + 1 for n1, _ in seen), (n, p)
             assert all(n2 <= q - p - 1 for _, n2 in seen), (n, p)
 
+    @pytest.mark.parametrize(
+        "problem, n, p, q, max_evals",
+        [
+            ("chained_rosenbrock", 100, 25, 51, 700),
+            ("trigonometric", 100, 25, 51, 700),
+            ("low_rank_quadratic", 120, 10, 21, 700),
+        ],
+    )
+    def test_accepted_builds_solve_the_full_kkt_system(
+        self, monkeypatch, problem, n, p, q, max_evals
+    ):
+        # The interpolation residual is the only acceptance check of an MFN
+        # build: it covers the first block of the KKT system. At the suite
+        # shape and at a framed shape (n > 2q) every accepted build's saddle
+        # solution also satisfies the whole system, the second block
+        # X^T lambda = 0 included, to 1e-9 relative to max(1, ||rhs||).
+        import subdfo.interp as interp_mod
+
+        real_solve = interp_mod.solve_saddle_system
+        real_build = solvers_mod.build_mfn_model
+        solves, accepted = [], []
+
+        def solve_spy(a, b, rhs):
+            sol = real_solve(a, b, rhs)
+            solves.append((a.copy(), b.copy(), rhs.copy(), sol.copy()))
+            return sol
+
+        def build_spy(*args, **kwargs):
+            solves.clear()
+            model = real_build(*args, **kwargs)
+            accepted.extend(solves)
+            return model
+
+        monkeypatch.setattr(interp_mod, "solve_saddle_system", solve_spy)
+        monkeypatch.setattr(solvers_mod, "build_mfn_model", build_spy)
+        run_rsdfoq(make_problem(problem, n), SolverConfig(p=p, q=q, seed=0, max_evals=max_evals))
+        assert len(accepted) > 50
+        for a, b, rhs, sol in accepted:
+            m = len(a)
+            res = np.concatenate([a @ sol[:m] + b.T @ sol[m:], b @ sol[:m]]) - rhs
+            assert np.linalg.norm(res) <= 1e-9 * max(1.0, np.linalg.norm(rhs))
+
     def test_one_eigendecomposition_per_model(self, monkeypatch):
         # Criticality and the TRS share each model's eigendecomposition, so
         # a run calls eigh at most once per model built: once per logged
