@@ -176,18 +176,23 @@ class InterpolationSet:
     secondary set holds up to ``q - p - 1`` previously demoted points in
     demotion order, so the oldest is discarded first on overflow.
 
-    ``primary`` and ``secondary`` are (len, n) arrays whose rows are the
-    points in stored order. They alias the set's storage, so they are valid
-    only until the set next changes; ``base`` is a copy.
+    Frame: every point x is held by its frame coordinates w, with x = o + F w
+    up to roundoff, where F is n x k with orthonormal columns (``frame``
+    holds them as rows) and o is ``origin``. The primary points also keep
+    their n-vectors, because the base must be exactly the point at which
+    the objective was evaluated: ``primary`` is a (len, n) array whose rows
+    are the points in stored order, aliasing the set's storage, so it is
+    valid only until the set next changes (``base`` is a copy). The
+    secondary points are held only as frame coordinates; ``secondary``
+    forms their rows o + F w when it is read.
 
-    Frame: every point x also has frame coordinates w, with x = o + F w up
-    to roundoff, where F is n x k with orthonormal columns (``frame`` holds
-    them as rows) and o is ``origin``. When n <= 2q the frame is the
-    identity: o = 0 and the coordinates are the points themselves, so every
-    product below is the full-space one. Otherwise F spans the affine hull
-    of the points: a point joins with known coordinates (a trust-region
-    step base + Q s) or along new directions orthogonal to F, which extend
-    it (``draw_orthogonal``, ``add_orthogonal``). When new directions would
+    When n <= 2q the frame is full: F = I_n, k = n and o = 0, so the frame
+    coordinates are the points, and every product with F is exact. A full
+    frame spans R^n; it is never extended or compacted. Otherwise the frame
+    starts empty at the base and F spans the affine hull of the points: a
+    point joins with known coordinates (a trust-region step base + Q s) or
+    along new directions orthogonal to F, which extend it
+    (``draw_orthogonal``, ``add_orthogonal``). When new directions would
     take k past the frame's width of 3q/2, the frame is first rebuilt on the
     hull of the stored points, at most q - 1 directions (a compaction).
 
@@ -208,11 +213,18 @@ class InterpolationSet:
         self.q = int(q)
         base = np.asarray(base, dtype=float)
         n = base.shape[0]
+        if n <= 2 * self.q:
+            self._frame, self._k, self._origin = np.eye(n), n, np.zeros(n)
+        else:
+            # Frame rows in a buffer of 3q/2 rows: passes over F cost O(nk)
+            # and a compaction O(nk^2), and the hull needs at most q - 1.
+            self._frame, self._k, self._origin = np.empty((3 * self.q // 2, n)), 0, base.copy()
+        width = len(self._frame)
         self._primary = _RowStack(n, self.p + 2)
-        self._primary.append(base)
-        self.primary_values = [float(base_value)]
+        self._wprimary = _RowStack(width, self.p + 2)
+        self._wsecondary = _RowStack(width, 2 * self.secondary_capacity)
+        self.primary_values = []
         self.base_index = 0
-        self._secondary = _RowStack(n, 2 * self.secondary_capacity)
         self.secondary_values = []
         # Q of the held factor in frame coordinates; None when stale.
         self._held: Optional[np.ndarray] = None
@@ -220,23 +232,10 @@ class InterpolationSet:
         # o, with Q = basis.columns; basis is None for a held factor that
         # has not been read yet.
         self._coords: Optional[tuple] = None
-        if n <= 2 * self.q:
-            # The identity frame: the frame coordinates are the points.
-            self._frame = None
-            self._wprimary, self._wsecondary = self._primary, self._secondary
-        else:
-            # Frame rows in a buffer of 3q/2 rows: passes over F cost O(nk)
-            # and a compaction O(nk^2), and the hull needs at most q - 1.
-            width = 3 * self.q // 2
-            self._frame = np.empty((width, n))
-            self._k = 0
-            self._origin = base.copy()
-            self._wprimary = _RowStack(width, self.p + 2)
-            self._wprimary.append(np.zeros(width))
-            self._wsecondary = _RowStack(width, 2 * self.secondary_capacity)
         # (frame buffer before the last compaction, U): the old frame's
         # first k rows are U @ (new rows), so coordinates c become U^T c.
         self._rotation: Optional[tuple] = None
+        self._push(base, base_value, self._locate(base, None)[0])
 
     @property
     def primary(self) -> np.ndarray:
@@ -244,7 +243,8 @@ class InterpolationSet:
 
     @property
     def secondary(self) -> np.ndarray:
-        return self._secondary.rows
+        """The secondary points o + F w, one row each, formed from their frame coordinates."""
+        return self._origin + self.secondary_frame_coords @ self.frame
 
     @property
     def base(self) -> np.ndarray:
@@ -259,35 +259,32 @@ class InterpolationSet:
         return max(0, self.q - self.p - 1)
 
     @property
-    def frame(self) -> Optional[np.ndarray]:
-        """The k x n orthonormal frame rows (F^T), or None for the identity frame."""
-        return None if self._frame is None else self._frame[: self._k]
+    def frame(self) -> np.ndarray:
+        """The k x n orthonormal frame rows (F^T); the n x n identity for a full frame."""
+        return self._frame[: self._k]
 
     @property
     def origin(self) -> np.ndarray:
-        if self._frame is None:
-            return np.zeros(self.primary.shape[1])
         return self._origin.copy()
 
     @property
     def frame_dim(self) -> int:
-        """k, the number of frame coordinates (n for the identity frame)."""
-        return self.primary.shape[1] if self._frame is None else self._k
+        """k, the number of frame coordinates (n for a full frame)."""
+        return self._k
 
     @property
     def primary_frame_coords(self) -> np.ndarray:
         """Frame coordinates of the primary points, one row each (aliases storage)."""
-        return self._wprimary.rows if self._frame is None else self._wprimary.rows[:, : self._k]
+        return self._wprimary.rows[:, : self._k]
 
     @property
     def secondary_frame_coords(self) -> np.ndarray:
         """Frame coordinates of the secondary points, one row each (aliases storage)."""
-        return self._wsecondary.rows if self._frame is None else self._wsecondary.rows[:, : self._k]
+        return self._wsecondary.rows[:, : self._k]
 
     def _push(self, point, value: float, w):
         self._primary.append(point)
-        if self._frame is not None:
-            self._wprimary.append(w)
+        self._wprimary.append(w)
         self.primary_values.append(float(value))
 
     def add_primary(self, point, value: float, coords=None):
@@ -301,17 +298,16 @@ class InterpolationSet:
         when it lies off the frame's span. The held factor becomes stale.
         """
         self._held = None
-        w = None
-        if self._frame is not None:
-            point = np.asarray(point, dtype=float)
-            w, res = self._locate(point, coords)
-            scale = FRAME_RESIDUAL_TOL * max(1.0, math.sqrt(point @ point))
-            if res is not None and math.sqrt(res @ res) > scale:
-                if self._k == len(self._frame):
-                    self._make_room(1)
-                    w, res = self._locate(point, None)
-                norm = math.sqrt(res @ res)
-                w[self._extend((res / norm)[:, None])] = norm
+        point = np.asarray(point, dtype=float)
+        w, res = self._locate(point, coords)
+        if res is not None and math.sqrt(res @ res) > FRAME_RESIDUAL_TOL * max(
+            1.0, math.sqrt(point @ point)
+        ):
+            if self._k == len(self._frame):
+                self._make_room(1)
+                w, res = self._locate(point, None)
+            norm = math.sqrt(res @ res)
+            w[self._extend((res / norm)[:, None])] = norm
         self._push(point, value, w)
         if self._coords is not None:
             if coords is None:
@@ -347,27 +343,30 @@ class InterpolationSet:
     def draw_orthogonal(self, draws: np.ndarray):
         """Orthonormal directions from the n x c Gaussian ``draws``, orthogonal to the held factor.
 
-        Returns the directions and their frame coordinates; the two are the
-        same for the identity frame, where the draws get two projection
-        passes and a QR factorization in full space. Otherwise the frame is
-        first compacted if c more directions would not fit, and three passes
-        over F do the rest: the draws' frame coordinates; the residuals off
-        the frame, together with the lift of the part the projection
-        removes; and a check, which repeats the residuals' projection only
-        when an entry of |F res| exceeds FRAME_ORTHO_TOL ||res||. The
-        residuals, orthonormalized through their c x c Gram matrix, extend
-        the frame. The projection against the held factor and the
-        orthonormalization, again through the Gram matrix, run on the
+        Returns the directions and their frame coordinates. A full frame
+        spans R^n and cannot be extended: the draws' frame coordinates get
+        two projection passes against the held factor and a QR
+        factorization, and the directions are their lift. Otherwise the
+        frame is first compacted if c more directions would not fit, and
+        three passes over F do the rest: the draws' frame coordinates; the
+        residuals off the frame, together with the lift of the part the
+        projection removes; and a check, which repeats the residuals'
+        projection only when an entry of |F res| exceeds FRAME_ORTHO_TOL
+        ||res||. The residuals, orthonormalized through their c x c Gram
+        matrix, extend the frame. The projection against the held factor and
+        the orthonormalization, again through the Gram matrix, run on the
         (k + c) x c coordinates.
         """
-        if self._frame is None:
-            span = self._held
+        if self._k == self._frame.shape[1]:
+            # Row layout, as below; the coordinates keep the draws' memory order.
+            f, span = self.frame, self._held
+            coords = (draws.T @ f.T).T
             for _ in range(2):
-                draws -= span @ (span.T @ draws)
-            out, r = economic_qr(draws)
+                coords -= span @ (span.T @ coords)
+            out, r = economic_qr(coords)
             if (np.abs(r.diagonal()) <= 1e-8).any():
                 raise ContractViolationError("failed to draw orthogonal directions")
-            return out, out
+            return (out.T @ f).T, out
         c = draws.shape[1]
         self._make_room(c)
         span = self._held
@@ -404,32 +403,29 @@ class InterpolationSet:
             return ((1.0 / t[0, 0]) * directions).T, v.T
         return (np.linalg.inv(t).T @ directions).T, v.T
 
-    def add_orthogonal(self, directions: np.ndarray, lengths, values, coords: np.ndarray):
-        """Add the points base + lengths[j] * directions[:, j] with their values.
+    def add_orthogonal(self, points, lengths, values, coords: np.ndarray):
+        """Add ``points[j]`` = base + lengths[j] d_j with ``values[j]``.
 
-        ``directions`` and ``coords`` are the orthonormal columns from
-        ``draw_orthogonal``: the directions, orthogonal to the held factor,
-        and their frame coordinates, so the new points' frame coordinates
-        are the base's plus lengths[j] coords[:, j]. The coordinates join
-        the held factor as known columns, and new point j's subspace
-        coordinates are the base's plus lengths[j] along column j of them.
-        The next ``held_basis`` checks them with the rest.
+        The points are the ones the objective was evaluated at, along
+        directions d_j from ``draw_orthogonal``, orthogonal to the held
+        factor; ``coords`` holds the d_j's frame coordinates as columns, so
+        the new points' frame coordinates are the base's plus lengths[j]
+        coords[:, j]. The coordinates join the held factor as known columns,
+        and new point j's subspace coordinates are the base's plus
+        lengths[j] along column j of them. The next ``held_basis`` checks
+        them with the rest.
         """
-        base = self.base
         # The old points have no part along the new columns.
         z, m = self._coords[1], len(lengths)
         t, h = z.shape
         grown = np.zeros((t + m, h + m))
         grown[:t, :h] = z
         grown[t:, :h] = z[self.base_index]
-        if self._frame is not None:
-            wbase = self._wprimary.rows[self.base_index].copy()
-        for j, (length, value) in enumerate(zip(lengths, values)):
-            w = None
-            if self._frame is not None:
-                w = wbase.copy()
-                w[: len(coords)] += length * coords[:, j]
-            self._push(base + length * directions[:, j], value, w)
+        wbase = self._wprimary.rows[self.base_index].copy()
+        for j, (point, length, value) in enumerate(zip(points, lengths, values)):
+            w = wbase.copy()
+            w[: len(coords)] += length * coords[:, j]
+            self._push(point, value, w)
             grown[t + j, h + j] = length
         held = np.empty((len(self._held), h + m))
         held[:, :h] = self._held
@@ -505,13 +501,9 @@ class InterpolationSet:
         """
         point = np.asarray(point, dtype=float)
         scale = max(1.0, math.sqrt(point @ point))
-        if self._frame is None:
-            diffs = self.primary - point
-            off = 0.0
-        else:
-            w, res = self._locate(point, coords)
-            diffs = self.primary_frame_coords - w[: self._k]
-            off = 0.0 if res is None else float(res @ res)
+        w, res = self._locate(point, coords)
+        diffs = self.primary_frame_coords - w[: self._k]
+        off = 0.0 if res is None else float(res @ res)
         return bool(np.einsum("ij,ij->i", diffs, diffs).min() + off <= (1e-14 * scale) ** 2)
 
     def move_to_secondary(self, index: int):
@@ -522,11 +514,9 @@ class InterpolationSet:
         if index == self.base_index:
             raise ContractViolationError("cannot demote the base point")
         self._held = None
-        self._secondary.append(self.primary[index])
         self._primary.pop(index)
-        if self._frame is not None:
-            self._wsecondary.append(self._wprimary.rows[index])
-            self._wprimary.pop(index)
+        self._wsecondary.append(self._wprimary.rows[index])
+        self._wprimary.pop(index)
         self.secondary_values.append(self.primary_values.pop(index))
         if index < self.base_index:
             self.base_index -= 1
@@ -534,9 +524,7 @@ class InterpolationSet:
             basis, z = self._coords
             self._coords = (basis, _without_row(z, index))
         while len(self.secondary_values) > self.secondary_capacity:
-            self._secondary.pop(0)
-            if self._frame is not None:
-                self._wsecondary.pop(0)
+            self._wsecondary.pop(0)
             self.secondary_values.pop(0)
 
     def recenter_to_best(self):
@@ -544,18 +532,12 @@ class InterpolationSet:
         values = self.primary_values
         self.base_index = min(range(len(values)), key=values.__getitem__)
 
-    def primary_directions(self) -> np.ndarray:
-        """Offsets of the non-base primary points from the base, one per row."""
-        return _offsets(self.primary, self.base_index)
-
     def frame_directions(self) -> np.ndarray:
-        """The same offsets in frame coordinates (the points' for the identity frame)."""
+        """Offsets of the non-base primary points from the base in frame coordinates, one per row."""
         return _offsets(self.primary_frame_coords, self.base_index)
 
     def _in_frame(self, basis: Basis) -> bool:
         """Whether ``basis.coords`` are coordinates in the set's current frame."""
-        if self._frame is None:
-            return basis.frame is None
         return basis.frame is not None and basis.frame.base is self._frame
 
     def _space(self, basis: Basis):
@@ -566,8 +548,6 @@ class InterpolationSet:
         """
         if not self._in_frame(basis):
             return self.primary, self.secondary, basis.columns
-        if self._frame is None:
-            return self.primary, self.secondary, basis.coords
         k = basis.coords.shape[0]
         return self._wprimary.rows[:, :k], self._wsecondary.rows[:, :k], basis.coords
 
@@ -605,13 +585,12 @@ class InterpolationSet:
         if carried is not None:
             k = min(len(carried), len(basis.coords))
             return basis.coords[:k].T @ carried[:k]
-        q_mat = basis.coords if basis.frame is None else basis.columns
-        return q_mat.T @ model.map
+        return basis.columns.T @ model.map
 
     def _carried(self, basis: Optional[Basis]) -> Optional[np.ndarray]:
         """Coordinates in the current frame of a basis expressed in this set's
         frame, now or before the last compaction; None for any other basis."""
-        if self._frame is None or basis is None or basis.frame is None:
+        if basis is None or basis.frame is None:
             return None
         if basis.frame.base is self._frame:
             return basis.coords
@@ -730,7 +709,7 @@ class SubspaceModel:
 
 def project_secondary(iset: InterpolationSet, basis: Basis):
     """Subspace coordinates Q^T (y - base) and cached values of secondary points."""
-    if not len(iset.secondary):
+    if not iset.secondary_values:
         return []
     diffs, q_mat = iset.secondary_offsets(basis)
     return list(zip(diffs @ q_mat, iset.secondary_values))
@@ -821,7 +800,7 @@ def build_mfn_model(
         order.insert(0, order.pop(iset.base_index))
         coords = coords[order]
         values = [iset.primary_values[i] for i in order]
-    if use_secondary and len(iset.secondary):
+    if use_secondary and iset.secondary_values:
         diffs, q_mat = iset.secondary_offsets(basis)
         sec = diffs @ q_mat
         sec_vals = iset.secondary_values

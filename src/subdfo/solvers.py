@@ -325,8 +325,9 @@ def add_orthogonal_points(
     existing primary offsets from the base point. That span is factored
     afresh here, once, and the set holds the factor
     (``InterpolationSet.hold_basis``); the directions are drawn against it
-    (``InterpolationSet.draw_orthogonal``, which also extends the set's
-    frame). Each new point is evaluated and cached, and its direction joins
+    (``InterpolationSet.draw_orthogonal``, which also extends a frame that
+    does not span R^n). Each new point joins the set as the point the
+    objective was evaluated at, with its value, and its direction joins
     the factor as a known column, so the next read needs no factorization.
     When a value comes back non-finite, the same direction is retried on the
     other side of the base and then at half and a quarter of the distance
@@ -345,20 +346,22 @@ def add_orthogonal_points(
             "subspace span already full-dimensional; cannot add orthogonal directions"
         )
 
-    frame, coords = iset.draw_orthogonal(rng.standard_normal((count, n)).T)
+    directions, coords = iset.draw_orthogonal(rng.standard_normal((count, n)).T)
 
     base = iset.base
-    added, lengths, values = [], [], []
+    added, points, lengths, values = [], [], [], []
     for j in range(count):
         for scale in PROBE_SCALES:
             length = scale * delta_next
-            val = objective(base + length * frame[:, j])
+            point = base + length * directions[:, j]
+            val = objective(point)
             if math.isfinite(val):
                 added.append(j)
+                points.append(point)
                 lengths.append(length)
                 values.append(val)
                 break
-    iset.add_orthogonal(frame[:, added], lengths, values, coords[:, added])
+    iset.add_orthogonal(points, lengths, values, coords[:, added])
 
 
 def _run_prototype(

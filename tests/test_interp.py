@@ -102,7 +102,7 @@ class TestStackedStorage:
         assert iset.base_index == ref.base_index
         assert np.array_equal(iset.base, ref.primary[ref.base_index])
         dirs = np.array(ref.primary_directions()).reshape(-1, n)
-        assert np.array_equal(iset.primary_directions(), dirs)
+        assert np.allclose(iset.frame_directions() @ iset.frame, dirs, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("p, q", [(3, 9), (2, 3), (4, 15)])
     def test_scripted_steps_match_list_storage(self, p, q):
@@ -152,10 +152,14 @@ class TestStackedStorage:
         assert [list(y) for y in iset.primary] == [[0.0, 0.0], [0.0, 1.0]]
 
 
+def primary_offsets(iset):
+    """Offsets of the non-base primary points from the base, one per row."""
+    return np.delete(iset.primary, iset.base_index, axis=0) - iset.base
+
+
 def lifted_factor(iset):
     """F @ Q of the factor the set holds: its columns in full space."""
-    q = iset._held
-    return q if iset.frame is None else iset.frame.T @ q
+    return iset.frame.T @ iset._held
 
 
 def held_factor_errors(iset, basis):
@@ -165,7 +169,7 @@ def held_factor_errors(iset, basis):
     coordinates and Z their recorded coordinates in ``basis``."""
     assert iset._held is not None and np.shares_memory(iset._held, basis.coords)
     q = lifted_factor(iset)
-    fresh = orthonormal_basis(iset.primary_directions()).columns
+    fresh = orthonormal_basis(primary_offsets(iset)).columns
     cosines = np.linalg.svd(fresh.T @ q, compute_uv=False)
     assert fresh.shape == q.shape
     gram = np.max(np.abs(q.T @ q - np.eye(q.shape[1])))
@@ -180,12 +184,18 @@ def hold_fresh(iset):
     return iset.hold_basis(orthonormal_basis(dirs) if len(dirs) else None, dirs)
 
 
+def add_along(iset, rng, directions, coords):
+    """Add points base + t_j d_j along drawn directions d_j, at random lengths t_j."""
+    lengths = rng.uniform(0.5, 2.0, directions.shape[1])
+    points = iset.base + (directions * lengths).T
+    iset.add_orthogonal(points, lengths, rng.standard_normal(len(lengths)), coords)
+
+
 def add_drawn(iset, rng, count):
     """Hold a fresh factor, then add ``count`` points along directions drawn
     orthogonal to it, at random lengths from the base."""
     hold_fresh(iset)
-    frame, coords = iset.draw_orthogonal(rng.standard_normal((len(iset.base), count)))
-    iset.add_orthogonal(frame, rng.uniform(0.5, 2.0, count), rng.standard_normal(count), coords)
+    add_along(iset, rng, *iset.draw_orthogonal(rng.standard_normal((len(iset.base), count))))
 
 
 class TestHeldFactor:
@@ -280,8 +290,8 @@ class TestHeldFactor:
                 assert iset.held_basis() is None
                 continue
             held = hold_fresh(iset).shape[1]
-            frame, coords = iset.draw_orthogonal(rng.standard_normal((n, count)))
-            iset.add_orthogonal(frame, rng.uniform(0.5, 2.0, count), rng.standard_normal(count), coords)
+            directions, coords = iset.draw_orthogonal(rng.standard_normal((n, count)))
+            add_along(iset, rng, directions, coords)
             assert iset._held.shape[1] == held + count
             assert np.array_equal(iset._held[:, held:], coords)
             appended += count
@@ -380,12 +390,14 @@ class TestFramedSet:
         # directions join a fresh factor, which the frame's growth and
         # compactions carry; more than q stored points widen the frame's
         # buffer. Reads pass the factor checks, and the frame stays
-        # orthonormal.
+        # orthonormal. The secondary points, held only as frame coordinates,
+        # are checked against the points that were demoted.
         n, p, q = 40, 3, 7
         rng = np.random.default_rng(4)
         x0 = rng.standard_normal(n)
         iset = InterpolationSet(x0, 0.0, p, q)
-        assert iset.frame is not None and len(iset.frame) == 0
+        assert len(iset.frame) == 0
+        demoted = []
         plane = np.linalg.qr(rng.standard_normal((n, 5)))[0]
         for _ in range(p):
             iset.add_primary(x0 + plane @ rng.standard_normal(5), float(rng.standard_normal()))
@@ -397,7 +409,10 @@ class TestFramedSet:
                 iset.add_primary(x0 + off, float(rng.standard_normal()))
             elif kind == 1 and len(iset.primary) > 2:
                 choices = [i for i in range(len(iset.primary)) if i != iset.base_index]
-                iset.move_to_secondary(int(rng.choice(choices)))
+                index = int(rng.choice(choices))
+                demoted.append(iset.primary[index].copy())
+                iset.move_to_secondary(index)
+                del demoted[: max(0, len(demoted) - iset.secondary_capacity)]
             elif kind == 2:
                 iset.primary_values[int(rng.integers(len(iset.primary)))] -= 1.0
                 iset.recenter_to_best()
@@ -420,19 +435,21 @@ class TestFramedSet:
                     assert not iset.contains_primary(trial, s_hat)
                     iset.add_primary(trial, float(rng.standard_normal()), coords=s_hat)
                     assert iset.contains_primary(trial, s_hat)
-            self._check(iset, step)
+            self._check(iset, demoted, step)
         assert reads > 40 and held_reads > 10
+        assert len(demoted) == iset.secondary_capacity
         assert iset._rotation is not None  # compacted at least once
         # More stored points than the frame's width: its buffer widens.
         iset = InterpolationSet(x0, 0.0, 1, 3)
         for step in range(6):
             iset.add_primary(rng.standard_normal(n), 0.0)
-            self._check(iset, step)
+            self._check(iset, [], step)
         assert len(iset.frame) == 6 > 3 * 3 // 2
 
     @staticmethod
-    def _check(iset, step):
-        pts = np.vstack([iset.primary, iset.secondary])
+    def _check(iset, demoted, step):
+        pts = np.vstack([iset.primary] + demoted)
+        assert np.array_equal(iset.secondary, iset.origin + iset.secondary_frame_coords @ iset.frame)
         coords = np.vstack([iset.primary_frame_coords, iset.secondary_frame_coords])
         resid = iset.origin + coords @ iset.frame - pts
         assert np.max(np.linalg.norm(resid, axis=1)) <= 1e-12 * max(
@@ -440,6 +457,39 @@ class TestFramedSet:
         ), step
         f = iset.frame
         assert np.max(np.abs(f @ f.T - np.eye(len(f))), initial=0.0) <= BASIS_ORTHO_TOL, step
+
+
+class TestFullFrame:
+    def test_draw_keeps_the_identity_arithmetic(self, monkeypatch):
+        # n <= 2q: F = I_n, and a draw projects the draws' frame coordinates
+        # off the held factor twice and factors them, as the identity
+        # arithmetic did on the draws themselves. The directions equal their
+        # frame coordinates and that reference bit for bit; the frame is
+        # neither extended nor compacted.
+        def forbidden(*args):
+            raise AssertionError("a full frame changed")
+
+        monkeypatch.setattr(InterpolationSet, "_extend", forbidden)
+        monkeypatch.setattr(InterpolationSet, "_compact", forbidden)
+        n, p, q = 12, 6, 28
+        rng = np.random.default_rng(8)
+        iset = InterpolationSet(rng.standard_normal(n), 0.0, p, q)
+        assert iset.frame.tobytes() == np.eye(n).tobytes() and iset.frame_dim == n
+        for _ in range(2):
+            iset.add_primary(rng.standard_normal(n), float(rng.standard_normal()))
+        for count in (1, 3, 2):
+            span = hold_fresh(iset)
+            draws = rng.standard_normal((count, n)).T  # the solver's memory order
+            ref = draws.copy(order="K")
+            for _ in range(2):
+                ref -= span @ (span.T @ ref)
+            ref, _ = interp_mod.economic_qr(ref)
+            directions, coords = iset.draw_orthogonal(draws)
+            assert directions.tobytes() == coords.tobytes() == ref.tobytes()
+            assert np.max(np.abs(span.T @ directions), initial=0.0) <= 1e-12
+            add_along(iset, rng, directions, coords)
+        assert len(iset.primary) == 1 + 2 + 6
+        assert iset.primary_frame_coords.tobytes() == iset.primary.tobytes()
 
 
 class TestProjectSecondary:
@@ -772,7 +822,7 @@ class TestBuildMfnModel:
         iset.move_to_secondary(1)
         iset.move_to_secondary(1)
         iset.base_index = 2  # base in the middle of the stored order
-        basis = orthonormal_basis(iset.primary_directions())
+        basis = orthonormal_basis(primary_offsets(iset))
         prev = SubspaceModel(None, basis.columns, 0.0, np.zeros(p), np.eye(p))
 
         trimmed = InterpolationSet(iset.base, iset.base_value, p, 2 * p + 4)
