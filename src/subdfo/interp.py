@@ -778,7 +778,9 @@ def build_mfn_model(
     through the standard saddle-point system in scaled coordinates, factored
     once. The model is accepted when it reproduces every interpolated value
     to INTERP_RESIDUAL_TOL relative to max(1, |f|); otherwise, or when the
-    system is exactly singular, ModelConstructionError is raised.
+    system is exactly singular, ModelConstructionError is raised. It is
+    also raised, before the solve, when a huge objective overflows the
+    reference Hessian or the right-hand side.
 
     Secondary values are used at face value at their projected coordinates.
     When ``max_residual`` is given, secondary points whose out-of-subspace
@@ -835,23 +837,26 @@ def build_mfn_model(
 
     # Reference Hessian: previous model Hessian carried into the new subspace.
     cross = None if prev is None else iset.overlap(basis, prev)
-    if cross is None:
-        h_ref = np.zeros((r, r))
-    else:
-        h_ref = cross @ prev.hessian @ cross.T
-        h_ref = 0.5 * (h_ref + h_ref.T)
-
     u, dbar = _unit_scale(coords)  # (m, r)
-    h_ref_s = h_ref * dbar**2
+    vals = np.array(values)
+    rhs = np.zeros(m + r + 1)
+    # A huge objective can overflow these products; the check below rejects it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cross is None:
+            h_ref = np.zeros((r, r))
+        else:
+            h_ref = cross @ prev.hessian @ cross.T
+            h_ref = 0.5 * (h_ref + h_ref.T)
+        h_ref_s = h_ref * dbar**2
+        np.subtract(vals, 0.5 * np.einsum("ij,ij->i", u @ h_ref_s, u), out=rhs[:m])
+    if not (np.isfinite(h_ref_s).all() and np.isfinite(rhs).all()):
+        raise ModelConstructionError("non-finite reference Hessian or MFN right-hand side")
 
     gram = u @ u.T
     a_block = 0.25 * gram**2
     x_block = np.empty((m, r + 1))
     x_block[:, 0] = 1.0
     x_block[:, 1:] = u
-    vals = np.array(values)
-    rhs = np.zeros(m + r + 1)
-    np.subtract(vals, 0.5 * np.einsum("ij,ij->i", u @ h_ref_s, u), out=rhs[:m])
 
     try:
         sol = solve_saddle_system(a_block, x_block.T, rhs)

@@ -2,12 +2,11 @@
 
 Everything here is pure and reentrant: orthonormalization, symmetric
 eigensolves and saddle-point (KKT) solves on matrices of at most a few
-hundred rows. The QR factorizations and the saddle solves call LAPACK
-through ``scipy.linalg.lapack``, with the arguments SciPy's own wrappers
-use, so they carry the wrappers' bits without their per-call overhead.
-SciPy is imported on the first such call: ``run_rsdfo`` and ``run_rsdfo2``
-never make one, and importing ``scipy.linalg`` costs more than the rest of
-the package.
+hundred rows. All of it runs on the LAPACK that NumPy ships: the QR
+factorizations call ``dgeqrf``/``dorgqr`` through
+``numpy.linalg.lapack_lite`` without ``np.linalg.qr``'s per-call overhead,
+and the saddle solves go through ``np.linalg.solve``. No solver imports
+SciPy.
 """
 
 from dataclasses import dataclass, field
@@ -15,6 +14,7 @@ from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .exceptions import ContractViolationError, EmptyBasisError, SingularSystemError
 
@@ -115,43 +115,40 @@ def upper_triangle(a: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _lapack():
-    """The ``scipy.linalg.lapack`` module, imported on first use."""
-    from scipy.linalg import lapack
-
-    return lapack
-
-
-@cache
 def _qr_lwork(m: int, n: int):
-    """The workspace sizes SciPy queries for ``geqrf`` and ``orgqr`` on an m x n matrix."""
+    """The optimal ``dgeqrf`` and ``dorgqr`` workspace sizes for an m x n matrix."""
     k = min(m, n)
-    lapack = _lapack()
-    work = lapack.dgeqrf(np.zeros((m, n), order="F"), lwork=-1)[2]
-    work_q = lapack.dorgqr(np.zeros((m, k), order="F"), np.zeros(k), lwork=-1)[1]
-    return int(work[0]), int(work_q[0])
+    work = np.zeros(1)
+    lapack_lite.dgeqrf(m, n, np.zeros((n, m)), m, np.zeros(k), work, -1, 0)
+    lwork = int(work[0])
+    lapack_lite.dorgqr(m, k, k, np.zeros((k, m)), m, np.zeros(k), work, -1, 0)
+    return lwork, int(work[0])
 
 
 def economic_qr(a: np.ndarray):
     """Economic QR factorization a = Q R of a float m x n array, without finiteness checks.
 
-    Calls LAPACK ``dgeqrf``/``dorgqr`` with the workspace sizes that
-    ``scipy.linalg.qr(a, mode="economic")`` queries, which it caches per
-    shape, so Q (m x min(m, n), Fortran order) and R carry SciPy's bits
-    without its per-call overhead. ``a`` is not modified.
+    Calls LAPACK ``dgeqrf``/``dorgqr`` through ``numpy.linalg.lapack_lite``
+    on the Fortran layout of ``a``, with the optimal workspace sizes, which
+    it caches per shape. Q (m x min(m, n)) is returned in Fortran order and
+    R in C order; both carry the bits of ``scipy.linalg.qr(a,
+    mode="economic")``. ``a`` is not modified.
     """
     m, n = a.shape
+    k = min(m, n)
     lwork, lwork_q = _qr_lwork(m, n)
-    lapack = _lapack()
-    qr, tau, _, info = lapack.dgeqrf(a, lwork=lwork)
+    at = np.array(a.T, dtype=float, order="C")  # a in Fortran layout: at.T is a copy of a
+    tau = np.zeros(k)
+    info = lapack_lite.dgeqrf(m, n, at, m, tau, np.empty(lwork), lwork, 0)["info"]
+    qr = at.T
     if m < n:
-        r, qr = upper_triangle(qr), qr[:, :m]
+        r, qt = upper_triangle(qr), at[:m]
     else:
-        r = upper_triangle(qr[:n])
-    q, _, info_q = lapack.dorgqr(qr, tau, lwork=lwork_q, overwrite_a=1)
+        r, qt = upper_triangle(qr[:n]), at
+    info_q = lapack_lite.dorgqr(m, k, k, qt, m, tau, np.empty(lwork_q), lwork_q, 0)["info"]
     if info or info_q:
         raise ContractViolationError(f"QR of a {m}x{n} matrix failed (info {info}, {info_q})")
-    return q, r
+    return qt.T, r
 
 
 def orthonormal_basis(vectors) -> Basis:
@@ -177,11 +174,11 @@ def orthonormal_basis(vectors) -> Basis:
     when the primary set has changed since.
 
     Bit contract: the factorization is ``economic_qr`` of the n x k matrix,
-    LAPACK ``geqrf``/``orgqr`` with SciPy's workspace sizes. It gives the
-    bits of ``scipy.linalg.qr`` in economic mode and of ``np.linalg.qr``,
-    and the sign-fixed Q is returned in C order. The memory order of Q
-    decides the bits of every later product with it, so solver records
-    depend on both choices.
+    LAPACK ``dgeqrf``/``dorgqr`` through ``numpy.linalg.lapack_lite`` with
+    the optimal workspace sizes. It gives the bits of ``scipy.linalg.qr``
+    in economic mode and of ``np.linalg.qr``, and the sign-fixed Q is
+    returned in C order. The memory order of Q decides the bits of every
+    later product with it, so solver records depend on both choices.
     """
     rows = np.asarray(vectors, dtype=float)
     if len(rows) == 0:
@@ -242,21 +239,14 @@ def min_eigenpair(h: np.ndarray):
     return float(w[0]), vec
 
 
-@cache
-def _sytrf_lwork(order: int) -> int:
-    """The optimal ``sytrf`` workspace, as ``scipy.linalg.solve(assume_a="sym")`` uses it."""
-    return int(_lapack().dsytrf_lwork(order, lower=0)[0])
-
-
 def solve_saddle_system(a, b, rhs) -> np.ndarray:
     """Solve the symmetric saddle-point system [[A, B^T], [B, 0]] z = rhs.
 
     ``a`` is the symmetric top-left block (m x m), ``b`` the coupling block
     (k x m) and ``rhs`` the full right-hand side of length m + k.
 
-    The system is factored once with LAPACK ``dsytrf`` (upper triangle,
-    optimal workspace) and solved with ``dsytrs``, which gives the bits of
-    ``scipy.linalg.solve(assume_a="sym")``. Raises SingularSystemError only
+    The assembled system is factored once by LU with partial pivoting
+    (``np.linalg.solve``, LAPACK ``dgesv``). Raises SingularSystemError only
     when the factorization meets an exactly singular pivot or the solution
     is not finite. There is no residual check and no retry with a ridge:
     whether the solution is accurate enough is the caller's decision
@@ -278,11 +268,10 @@ def solve_saddle_system(a, b, rhs) -> np.ndarray:
     if rhs.shape != (m + k,):
         raise ContractViolationError("rhs length inconsistent with blocks")
 
-    lapack = _lapack()
-    with np.errstate(all="ignore"):
-        ldu, piv, info = lapack.dsytrf(kkt, lower=0, lwork=_sytrf_lwork(m + k))
-        if info == 0:
-            sol, info = lapack.dsytrs(ldu, piv, rhs, lower=0)
-    if info != 0 or not np.isfinite(sol).all():
+    try:
+        sol = np.linalg.solve(kkt, rhs)
+    except np.linalg.LinAlgError:
+        sol = None
+    if sol is None or not np.isfinite(sol).all():
         raise SingularSystemError(f"{m + k}x{m + k} saddle system singular")
     return sol

@@ -4,10 +4,13 @@ Every source of randomness in the package is a pure function of a master
 seed plus a structural key (iteration index, trial index, problem name, ...),
 so traces are reproducible regardless of call order or parallel scheduling.
 
-Some streams belong to one run, such as the sketch stream of ``rsdfo`` and
-``rsdfo2``, ``derive_rng(seed, "sketch")``. The run draws from it in
-iteration order, one draw per iteration, so the k-th draw is still a
-function of (seed, key, k) alone.
+Some streams belong to one run, and the run draws from them in iteration
+order. ``rsdfo`` and ``rsdfo2`` draw one sketch per iteration from
+``derive_rng(seed, "sketch")``, so the k-th draw is still a function of
+(seed, key, k) alone. ``rsdfoq`` draws the directions it adds after the
+initial set from ``derive_rng(seed, "add")``, only in iterations that add
+points and one direction per point, so a draw also depends on how many
+points the run added before it; the run stays a pure function of its seed.
 """
 
 import zlib

@@ -495,6 +495,8 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
         rng0 = derive_rng(config.seed, "init")
         add_orthogonal_points(iset, delta, p, rng0, run)
         iset.recenter_to_best()
+        # Directions added later come from one stream, drawn in iteration order.
+        add_rng = derive_rng(config.seed, "add")
 
         k = 0
         while True:
@@ -591,9 +593,7 @@ def run_rsdfoq(problem, config: SolverConfig, log_cb=None, iterate_hook=None) ->
 
             n_add = p + 1 - len(iset.primary)
             if n_add > 0:
-                add_orthogonal_points(
-                    iset, delta_next, n_add, derive_rng(config.seed, "add", k), run
-                )
+                add_orthogonal_points(iset, delta_next, n_add, add_rng, run)
             iset.recenter_to_best()
 
             if log_cb is not None:

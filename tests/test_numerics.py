@@ -324,30 +324,32 @@ def _unit_points(rng, m, r):
     return u / np.max(np.sqrt(np.einsum("ij,ij->i", u, u)))
 
 
-def _scipy_saddle(a, b, rhs):
-    """solve_saddle_system through scipy.linalg.solve(assume_a="sym"): the reference.
-
-    None where LAPACK reports an exactly singular pivot or the solution is
-    not finite, the two cases in which solve_saddle_system raises.
-    """
+def _kkt(a, b):
     m, k = a.shape[0], b.shape[0]
     kkt = np.zeros((m + k, m + k))
     kkt[:m, :m], kkt[m:, :m], kkt[:m, m:] = a, b, b.T
+    return kkt
+
+
+def _lu_saddle(a, b, rhs, solve=np.linalg.solve):
+    """solve_saddle_system as one LU solve of the assembled KKT matrix: the reference.
+
+    None where ``np.linalg.solve`` reports an exactly singular pivot or the
+    solution is not finite, the two cases in which solve_saddle_system raises.
+    """
     try:
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            sol = scipy.linalg.solve(kkt, rhs, assume_a="sym")
+        sol = solve(_kkt(a, b), rhs)
     except np.linalg.LinAlgError:
         return None
     return sol if np.all(np.isfinite(sol)) else None
 
 
 class TestSaddleSystemBits:
-    """The LAPACK saddle path gives the bits of scipy.linalg.solve(assume_a="sym")."""
+    """The saddle path gives the bits of np.linalg.solve on the assembled KKT matrix."""
 
     @staticmethod
     def _assert_same(a, b, rhs):
-        ref = _scipy_saddle(a, b, rhs)
+        ref = _lu_saddle(a, b, rhs)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if ref is None:
@@ -372,8 +374,9 @@ class TestSaddleSystemBits:
         assert min(orders) == 13 and max(orders) == 152
 
     def test_near_singular_systems_that_scipy_warns_on(self):
-        # Near-duplicate points: SciPy warns of ill-conditioning; the new path
-        # warns of nothing and returns the same bits or fails the same way.
+        # Near-duplicate points: SciPy's symmetric solve warns of
+        # ill-conditioning; the LU path warns of nothing and returns the
+        # reference's bits or fails the same way.
         rng = np.random.default_rng(4)
         warned = 0
         for r, m in [(12, 91), (12, 60), (25, 51), (6, 28)]:
@@ -381,10 +384,9 @@ class TestSaddleSystemBits:
                 u = _unit_points(rng, m, r)
                 u[-1] = u[0] * (1.0 + rel)
                 a, b, rhs = _mfn_system(u, rng)
-                kkt = np.block([[a, b.T], [b, np.zeros((r + 1, r + 1))]])
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    scipy.linalg.solve(kkt, rhs, assume_a="sym")
+                    scipy.linalg.solve(_kkt(a, b), rhs, assume_a="sym")
                 warned += any(issubclass(w.category, scipy.linalg.LinAlgWarning) for w in caught)
                 self._assert_same(a, b, rhs)
         assert warned >= 6
@@ -396,15 +398,29 @@ class TestSaddleSystemBits:
         u[1] = u[0]
         a, b, rhs = _mfn_system(u, rng)
         rhs[1] = rhs[0] + 1.0
-        real = scipy.linalg.lapack.dsytrf
+        real = np.linalg.solve
         calls = []
 
-        def spy(mat, **kwargs):
+        def spy(mat, vec):
             calls.append(mat.shape)
-            return real(mat, **kwargs)
+            return real(mat, vec)
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", spy)
+        monkeypatch.setattr(np.linalg, "solve", spy)
         with pytest.raises(SingularSystemError, match="49x49 saddle system singular"):
             solve_saddle_system(a, b, rhs)
         assert calls == [(49, 49)]
-        assert _scipy_saddle(a, b, rhs) is None
+        assert _lu_saddle(a, b, rhs, solve=real) is None
+
+    def test_agrees_with_the_symmetric_solve_on_suite_systems(self):
+        # The LU solution and SciPy's symmetric indefinite (LDL^T) solution of
+        # suite-shaped systems (r = 25, 26 to 51 points) agree to within
+        # what the condition number of the KKT matrix allows.
+        rng = np.random.default_rng(6)
+        eps = np.finfo(float).eps
+        for m in [26, 30, 38, 45, 51] + [int(x) for x in rng.integers(26, 52, size=25)]:
+            a, b, rhs = _mfn_system(_unit_points(rng, m, 25), rng)
+            kkt = _kkt(a, b)
+            ref = scipy.linalg.solve(kkt, rhs, assume_a="sym")
+            sol = solve_saddle_system(a, b, rhs)
+            rel = np.linalg.norm(sol - ref) / np.linalg.norm(ref)
+            assert rel <= 16 * eps * np.linalg.cond(kkt), (m, rel, np.linalg.cond(kkt))

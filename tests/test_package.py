@@ -25,22 +25,27 @@ def test_all_matches_readme_public_api():
     assert sorted(documented) == sorted(subdfo.__all__)
 
 
-def test_scipy_linalg_loads_only_with_the_first_lapack_call():
-    # A fresh interpreter: the package and rsdfo2 need no SciPy, and the
-    # first rsdfoq run (a QR and a saddle solve) imports scipy.linalg.
+def test_no_solver_imports_scipy(tmp_path):
+    # A fresh interpreter: every solver, and persisting and profiling their
+    # records, run on NumPy alone; the QR and saddle solves of rsdfoq call
+    # the LAPACK that NumPy ships.
     script = """
 import sys
 sys.path.insert(0, sys.argv[1])
-import subdfo
-from subdfo import SolverConfig, make_problem, run_rsdfo2, run_rsdfoq
-assert "scipy.linalg" not in sys.modules, "after import"
-rec = run_rsdfo2(make_problem("sphere", 10), SolverConfig(p=3, seed=0, max_evals=60))
-assert rec.total_evals == 60, rec
-assert "scipy.linalg" not in sys.modules, "after run_rsdfo2"
-run_rsdfoq(make_problem("sphere", 10), SolverConfig(p=3, seed=0, max_evals=30))
-assert "scipy.linalg" in sys.modules, "after run_rsdfoq"
+from subdfo import SolverConfig, make_problem, run_rsdfo, run_rsdfo2, run_rsdfoq
+from subdfo.bench import profiles_from_records, write_store
+records = [
+    run(make_problem("sphere", 10), SolverConfig(p=3, seed=0, max_evals=60))
+    for run in (run_rsdfo, run_rsdfo2, run_rsdfoq)
+]
+assert [r.total_evals for r in records] == [60, 60, 60], records
+write_store(records, sys.argv[2])
+profiles_from_records(records, 1e-1, "data")
+profiles_from_records(records, 1e-1, "perf")
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
 """
     out = subprocess.run(
-        [sys.executable, "-c", script, str(SRC)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script, str(SRC), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
